@@ -1,11 +1,8 @@
 //! Static per-packet cost bounds.
 //!
-//! The paper's resource argument (section 2.1) is qualitative: no
-//! recursion and no unbounded loops, therefore bounded per-packet work.
-//! Local termination actually buys more than that — it makes the
-//! worst-case cost *computable* by structural induction over the typed
-//! AST. This module computes, for every channel overload, an upper bound
-//! on
+//! Local termination (no recursion, no unbounded loops) makes the
+//! worst-case cost of one packet *computable*. This module computes, for
+//! every channel overload, an upper bound on
 //!
 //! * the VM **steps** one packet can cost (the same step-charging model
 //!   the engines report through `NetEnv::charge_steps`; see
@@ -13,24 +10,17 @@
 //! * the number of **send sites** (`OnRemote`/`OnNeighbor`) one packet
 //!   can execute.
 //!
-//! The recurrence charges [`STEPS_PER_NODE`] for every node on a path,
-//! sums sequential composition (`let`, tuples, arguments, sequencing),
-//! takes the maximum over `if` arms, and — because a `handle` body may
-//! run to its deepest `raise` before the handler runs — sums body and
-//! handler for `handle`. Function-call bounds are precomputed in
-//! declaration order, which terminates because bodies may call only
-//! earlier functions.
+//! It is an instance of the path-bound recurrence (`crate::path`; its
+//! composition rules and soundness argument are stated there and in
+//! DESIGN.md): every node charges [`STEPS_PER_NODE`], every send node
+//! one send.
 //!
-//! The bound is sound for both engines: the interpreter charges exactly
-//! one step per node on the executed path (branches and short-circuit
-//! operators only skip nodes), and the JIT charges exactly the same —
-//! its folded constant templates charge every node of the folded
-//! subtree, so the two engines' step counts are byte-identical. The
-//! runtime layer cross-checks this claim on every dispatch (the
+//! The runtime layer cross-checks the step bound on every dispatch (the
 //! `cost_bound_exceeded` counter), and the soundness test suite asserts
 //! the counter stays zero across all traced scenarios.
 
-use planp_lang::tast::{TExpr, TExprKind, TProgram};
+use crate::path::{path_bounds, PathMeasure};
+use planp_lang::tast::{TExprKind, TProgram};
 use planp_vm::cost::STEPS_PER_NODE;
 use std::fmt;
 
@@ -44,30 +34,17 @@ pub struct CostBound {
     pub sends: u64,
 }
 
-impl CostBound {
-    /// Sequential composition: both costs accrue.
-    fn then(self, other: CostBound) -> CostBound {
-        CostBound {
-            steps: self.steps.saturating_add(other.steps),
-            sends: self.sends.saturating_add(other.sends),
-        }
+/// Component-wise: a sound upper bound even when the step-heaviest and
+/// send-heaviest paths differ.
+impl PathMeasure for CostBound {
+    fn then(&mut self, next: &Self) {
+        self.steps.then(&next.steps);
+        self.sends.then(&next.sends);
     }
 
-    /// Branch merge: component-wise maximum (a sound upper bound even
-    /// when the step-heaviest and send-heaviest paths differ).
-    fn or(self, other: CostBound) -> CostBound {
-        CostBound {
-            steps: self.steps.max(other.steps),
-            sends: self.sends.max(other.sends),
-        }
-    }
-
-    /// The cost of evaluating one AST node, by itself.
-    fn node() -> CostBound {
-        CostBound {
-            steps: STEPS_PER_NODE,
-            sends: 0,
-        }
+    fn or(&mut self, other: &Self) {
+        self.steps.or(&other.steps);
+        self.sends.or(&other.sends);
     }
 }
 
@@ -120,75 +97,28 @@ impl CostReport {
 /// Computes worst-case per-packet cost bounds for every function and
 /// channel of `prog`.
 pub fn cost_bounds(prog: &TProgram) -> CostReport {
-    let mut funs: Vec<CostBound> = Vec::with_capacity(prog.funs.len());
-    for f in &prog.funs {
-        let b = bound_expr(&f.body, &funs);
-        funs.push(b);
-    }
+    let bounds = path_bounds(prog, |e, acc: &mut CostBound| {
+        acc.steps.then(&STEPS_PER_NODE);
+        if matches!(
+            e.kind,
+            TExprKind::OnRemote { .. } | TExprKind::OnNeighbor { .. }
+        ) {
+            acc.sends.then(&1);
+        }
+    });
     let channels = prog
         .channels
         .iter()
-        .map(|ch| ChannelCost {
+        .zip(bounds.channels)
+        .map(|(ch, bound)| ChannelCost {
             name: ch.name.clone(),
             overload: ch.overload,
-            bound: bound_expr(&ch.body, &funs),
+            bound,
         })
         .collect();
-    CostReport { funs, channels }
-}
-
-/// Structural worst-case bound of one expression; `funs` holds the
-/// precomputed bounds of all earlier function declarations.
-fn bound_expr(e: &TExpr, funs: &[CostBound]) -> CostBound {
-    use TExprKind::*;
-    let node = CostBound::node();
-    match &e.kind {
-        Int(_)
-        | Bool(_)
-        | Str(_)
-        | Char(_)
-        | Unit
-        | Host(_)
-        | Local { .. }
-        | Global { .. }
-        | Raise(_) => node,
-        Tuple(items) | Seq(items) | List(items) => items
-            .iter()
-            .fold(node, |acc, item| acc.then(bound_expr(item, funs))),
-        Proj(_, inner) | Unop(_, inner) => node.then(bound_expr(inner, funs)),
-        CallFun { index, args } => args
-            .iter()
-            .fold(node, |acc, a| acc.then(bound_expr(a, funs)))
-            .then(funs.get(*index as usize).copied().unwrap_or_default()),
-        CallPrim { args, .. } => args
-            .iter()
-            .fold(node, |acc, a| acc.then(bound_expr(a, funs))),
-        If(c, t, f) => node
-            .then(bound_expr(c, funs))
-            .then(bound_expr(t, funs).or(bound_expr(f, funs))),
-        Let { init, body, .. } => node
-            .then(bound_expr(init, funs))
-            .then(bound_expr(body, funs)),
-        // `andalso`/`orelse` may skip the right operand; the sum is a
-        // sound upper bound for the worst case.
-        Binop(_, a, b) => node.then(bound_expr(a, funs)).then(bound_expr(b, funs)),
-        // The body may run all the way to its deepest raise, and then
-        // the handler runs too.
-        Handle(body, _, handler) => node
-            .then(bound_expr(body, funs))
-            .then(bound_expr(handler, funs)),
-        OnRemote { pkt, .. } => {
-            let mut b = node.then(bound_expr(pkt, funs));
-            b.sends = b.sends.saturating_add(1);
-            b
-        }
-        OnNeighbor { host, pkt, .. } => {
-            let mut b = node
-                .then(bound_expr(host, funs))
-                .then(bound_expr(pkt, funs));
-            b.sends = b.sends.saturating_add(1);
-            b
-        }
+    CostReport {
+        funs: bounds.funs,
+        channels,
     }
 }
 

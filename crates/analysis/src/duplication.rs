@@ -17,12 +17,20 @@
 //! The fix-point is monotone over the finite lattice of boolean vectors,
 //! so it converges in at most `channels + 1` iterations (the paper's
 //! bound is `2^c` state explorations; ours is tighter because we iterate
-//! the vector directly).
+//! the vector directly). Each iteration bounds the weighted sends per
+//! path with the path-bound recurrence (`crate::path`). `summarize` runs
+//! the fix-point once and stores it as [`ProgramSummary::dup`].
 
 use crate::diag::Diagnostic;
-use crate::summary::{max_path_weight, DestAbs, ProgramSummary};
+use crate::path::{path_bounds, PathMeasure};
+use crate::summary::{DestAbs, ExprSummary, ProgramSummary, SendSite};
 use crate::termination::Outcome;
-use planp_lang::tast::TProgram;
+use planp_lang::tast::{TExprKind, TProgram};
+use std::collections::HashMap;
+
+/// Saturating cap for weighted send counts; 3 is enough to distinguish
+/// 0, 1, and "2 or more".
+const CAP: u64 = 3;
 
 /// Result of the fix-point: which channels may produce more than one
 /// downstream packet per input packet.
@@ -34,8 +42,51 @@ pub struct DuplicationInfo {
     pub iterations: usize,
 }
 
-/// Runs the may-copy fix-point.
-pub fn compute_may_copy(prog: &TProgram, _sum: &ProgramSummary) -> DuplicationInfo {
+/// The send site of every send node, by site id (span start): sends are
+/// never duplicated by the front end, so the id names one node.
+fn sends_by_site<'s>(
+    funs: &'s [ExprSummary],
+    channels: &'s [ExprSummary],
+) -> HashMap<u32, &'s SendSite> {
+    funs.iter()
+        .chain(channels)
+        .flat_map(|s| &s.sites)
+        .map(|site| (site.span.start, site))
+        .collect()
+}
+
+/// The maximum, over all execution paths of each channel, of the summed
+/// weights of the sends it executes (an instance of the path-bound
+/// recurrence), capped at [`CAP`]. A send's target and destination are
+/// read from its [`SendSite`].
+fn path_weights(
+    prog: &TProgram,
+    sites: &HashMap<u32, &SendSite>,
+    weigh: impl Fn(usize, DestAbs) -> u64,
+) -> Vec<u64> {
+    path_bounds(prog, |e, acc: &mut u64| {
+        if matches!(
+            e.kind,
+            TExprKind::OnRemote { .. } | TExprKind::OnNeighbor { .. }
+        ) {
+            let site = sites[&e.span.start];
+            acc.then(&weigh(site.target, site.dest));
+        }
+    })
+    .channels
+    .into_iter()
+    .map(|w| w.min(CAP))
+    .collect()
+}
+
+/// Runs the may-copy fix-point over the per-body summaries `summarize`
+/// computed.
+pub(crate) fn compute_may_copy(
+    prog: &TProgram,
+    funs: &[ExprSummary],
+    channels: &[ExprSummary],
+) -> DuplicationInfo {
+    let sites = sends_by_site(funs, channels);
     let n = prog.channels.len();
     let mut may_copy = vec![false; n];
     let mut iterations = 0;
@@ -46,24 +97,15 @@ pub fn compute_may_copy(prog: &TProgram, _sum: &ProgramSummary) -> DuplicationIn
         // Weight of a send: 2 if the target may copy or the destination is
         // a multicast group, else 1. A path of weight >= 2 means the
         // channel can turn one packet into more than one.
-        let snapshot = may_copy.clone();
-        let weigh = |target: usize, dest: DestAbs| -> u32 {
-            if snapshot[target] || dest.is_multicast_const() {
+        let weights = path_weights(prog, &sites, |target, dest| {
+            if may_copy[target] || dest.is_multicast_const() {
                 2
             } else {
                 1
             }
-        };
-        // Function bodies first (ordered, non-recursive).
-        let mut fun_weights = Vec::with_capacity(prog.funs.len());
-        for f in &prog.funs {
-            let w = max_path_weight(prog, &f.body, &fun_weights, &weigh);
-            fun_weights.push(w);
-        }
-        for (c, ch) in prog.channels.iter().enumerate() {
-            let w = max_path_weight(prog, &ch.body, &fun_weights, &weigh);
-            let copies = w >= 2;
-            if copies && !may_copy[c] {
+        });
+        for (c, w) in weights.into_iter().enumerate() {
+            if w >= 2 && !may_copy[c] {
                 may_copy[c] = true;
                 changed = true;
             }
@@ -87,41 +129,32 @@ pub fn compute_may_copy(prog: &TProgram, _sum: &ProgramSummary) -> DuplicationIn
 /// Checks linear duplication: at most one *copying* send per execution
 /// path, in every channel.
 pub fn check_duplication(prog: &TProgram, sum: &ProgramSummary) -> Outcome {
-    let info = compute_may_copy(prog, sum);
-
+    let sites = sends_by_site(&sum.funs, &sum.channels);
     // Weight counts only copying sends.
-    let weigh = |target: usize, dest: DestAbs| -> u32 {
-        if info.may_copy[target] || dest.is_multicast_const() {
-            1
-        } else {
-            0
-        }
-    };
-    let mut fun_weights = Vec::with_capacity(prog.funs.len());
-    for f in &prog.funs {
-        let w = max_path_weight(prog, &f.body, &fun_weights, &weigh);
-        fun_weights.push(w);
-    }
+    let copying = path_weights(prog, &sites, |target, dest| {
+        u64::from(sum.dup.may_copy[target] || dest.is_multicast_const())
+    });
 
-    let mut errors = Vec::new();
-    for (c, ch) in prog.channels.iter().enumerate() {
-        let copying_sends = max_path_weight(prog, &ch.body, &fun_weights, &weigh);
-        if copying_sends >= 2 {
-            errors.push(Diagnostic::error(
+    // A copying channel inside a cycle with itself compounds; the
+    // termination analysis already rejects destination-changing cycles,
+    // and progress-only cycles deliver, so per-path linearity plus
+    // termination gives global linearity.
+    let errors: Vec<Diagnostic> = prog
+        .channels
+        .iter()
+        .zip(copying)
+        .filter(|(_, copying_sends)| *copying_sends >= 2)
+        .map(|(ch, copying_sends)| {
+            Diagnostic::error(
                 "E003",
                 ch.span,
                 format!(
                     "channel `{}` can execute {copying_sends} sends to copying channels on one path — packet duplication may be exponential",
                     ch.name
                 ),
-            ));
-        }
-        // A copying channel inside a cycle with itself compounds; the
-        // termination analysis already rejects destination-changing
-        // cycles, and progress-only cycles deliver, so per-path linearity
-        // plus termination gives global linearity.
-        let _ = c;
-    }
+            )
+        })
+        .collect();
 
     if errors.is_empty() {
         Outcome::Proved
@@ -148,7 +181,7 @@ mod tests {
             "channel network(ps : unit, ss : unit, p : ip*udp*blob) is\n\
              (OnRemote(network, p); (ps, ss))",
         );
-        let info = compute_may_copy(&tp, &sum);
+        let info = &sum.dup;
         assert_eq!(info.may_copy, vec![false]);
         assert!(check_duplication(&tp, &sum).is_proved());
     }
@@ -161,7 +194,7 @@ mod tests {
              channel network(ps : unit, ss : unit, p : ip*udp*blob) is\n\
              (OnNeighbor(sink, 10.0.0.2, p); OnNeighbor(sink, 10.0.0.3, p); (ps, ss))",
         );
-        let info = compute_may_copy(&tp, &sum);
+        let info = &sum.dup;
         // `network` itself copies…
         assert_eq!(info.may_copy, vec![false, true]);
         // …but no path has two sends to *copying* channels.
@@ -178,7 +211,7 @@ mod tests {
              channel network(ps : unit, ss : unit, p : ip*udp*blob) is\n\
              (OnNeighbor(fan, 10.0.0.4, p); OnNeighbor(fan, 10.0.0.5, p); (ps, ss))",
         );
-        let info = compute_may_copy(&tp, &sum);
+        let info = &sum.dup;
         assert!(info.may_copy[1] && info.may_copy[2]);
         let out = check_duplication(&tp, &sum);
         let Outcome::Rejected(errs) = out else {
@@ -196,7 +229,7 @@ mod tests {
              channel relay(ps : unit, ss : unit, p : ip*udp*blob) is\n\
              (OnNeighbor(fan, 10.0.0.4, p); (ps, ss))",
         );
-        let info = compute_may_copy(&tp, &sum);
+        let info = &sum.dup;
         // relay forwards once to a copying channel → relay itself may copy.
         assert_eq!(info.may_copy, vec![false, true, true]);
         assert!(info.iterations >= 2);
@@ -223,7 +256,7 @@ mod tests {
             "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
              (if ps > 0 then OnRemote(network, p) else OnRemote(network, p); (ps, ss))",
         );
-        let info = compute_may_copy(&tp, &sum);
+        let info = &sum.dup;
         assert_eq!(info.may_copy, vec![false]);
         assert!(check_duplication(&tp, &sum).is_proved());
     }

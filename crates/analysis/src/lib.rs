@@ -68,6 +68,7 @@ pub mod diag;
 pub mod duplication;
 pub mod lint;
 pub mod modelcheck;
+mod path;
 pub mod plan;
 pub mod profile;
 pub mod state;
@@ -79,7 +80,7 @@ pub mod witness;
 pub use compose::{product_check, ComposeResult};
 pub use cost::{cost_bounds, ChannelCost, CostBound, CostReport};
 pub use diag::{Diagnostic, Severity};
-pub use duplication::{compute_may_copy, DuplicationInfo};
+pub use duplication::DuplicationInfo;
 pub use lint::lint;
 pub use modelcheck::{model_check, ModelCheckReport, Verdict, DEFAULT_STATE_BUDGET};
 pub use plan::{

@@ -239,65 +239,29 @@ fn shadowed_bindings(prog: &TProgram, out: &mut Vec<Diagnostic>) {
 }
 
 fn shadow_walk<'p>(e: &'p TExpr, scope: &mut Vec<&'p str>, out: &mut Vec<Diagnostic>) {
-    use TExprKind::*;
-    match &e.kind {
-        Let {
-            name, init, body, ..
-        } => {
-            shadow_walk(init, scope, out);
-            if scope.iter().any(|n| n == name) && !exempt(name) {
-                out.push(
-                    Diagnostic::warning(
-                        "L007",
-                        e.span,
-                        format!("binding `{name}` shadows an enclosing binding"),
-                    )
-                    .note("rename one of the bindings to avoid confusion"),
-                );
-            }
-            scope.push(name);
-            shadow_walk(body, scope, out);
-            scope.pop();
-        }
-        Tuple(items) | Seq(items) | List(items) => {
-            for item in items {
-                shadow_walk(item, scope, out);
-            }
-        }
-        Proj(_, inner) | Unop(_, inner) => shadow_walk(inner, scope, out),
-        CallFun { args, .. } | CallPrim { args, .. } => {
-            for a in args {
-                shadow_walk(a, scope, out);
-            }
-        }
-        If(c, t, f) => {
+    let TExprKind::Let {
+        name, init, body, ..
+    } = &e.kind
+    else {
+        for c in e.children() {
             shadow_walk(c, scope, out);
-            shadow_walk(t, scope, out);
-            shadow_walk(f, scope, out);
         }
-        Binop(_, a, b) => {
-            shadow_walk(a, scope, out);
-            shadow_walk(b, scope, out);
-        }
-        Handle(body, _, handler) => {
-            shadow_walk(body, scope, out);
-            shadow_walk(handler, scope, out);
-        }
-        OnRemote { pkt, .. } => shadow_walk(pkt, scope, out),
-        OnNeighbor { host, pkt, .. } => {
-            shadow_walk(host, scope, out);
-            shadow_walk(pkt, scope, out);
-        }
-        Int(_)
-        | Bool(_)
-        | Str(_)
-        | Char(_)
-        | Unit
-        | Host(_)
-        | Local { .. }
-        | Global { .. }
-        | Raise(_) => {}
+        return;
+    };
+    shadow_walk(init, scope, out);
+    if scope.iter().any(|n| n == name) && !exempt(name) {
+        out.push(
+            Diagnostic::warning(
+                "L007",
+                e.span,
+                format!("binding `{name}` shadows an enclosing binding"),
+            )
+            .note("rename one of the bindings to avoid confusion"),
+        );
     }
+    scope.push(name);
+    shadow_walk(body, scope, out);
+    scope.pop();
 }
 
 #[cfg(test)]

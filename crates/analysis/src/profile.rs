@@ -8,17 +8,16 @@
 //! through `NetEnv::charge_site`, stable across engines, runs, and
 //! recompiles of the same source.
 //!
-//! For each channel overload, [`site_bounds`] walks the body with a
-//! call-path **multiplicity**: every node contributes
-//! `multiplicity × STEPS_PER_NODE` at its site, and a `CallFun`
-//! recurses into the callee body with its own multiplicity (call
-//! graphs are acyclic, so the walk terminates). The per-site bound is
-//! sound per dispatch for both engines: branches only *skip* nodes
-//! (an `if` charges one arm, the bound counts both; short-circuit
-//! operators may skip the right operand), and the JIT's folded
-//! constant templates charge exactly the interpreter's nodes. So for
-//! every site, `observed_steps ≤ bound_steps × dispatches` — the
-//! utilization-heatmap invariant the profiler enforces.
+//! [`site_bounds`] is an instance of the path-bound recurrence
+//! (`crate::path`, stated in DESIGN.md) whose measure is a table of
+//! per-site steps: every node charges [`STEPS_PER_NODE`] at its own
+//! site, and a call adds the callee's table, computed once per function,
+//! so a body reached on `k` call paths carries `k ×` its sites. Unlike
+//! the whole-body bound, the table keeps the sites of *both* `if` arms
+//! (summing where a callee is shared), which is what makes it
+//! decomposable: for every site, `observed_steps ≤ bound_steps ×
+//! dispatches` — the utilization-heatmap invariant the profiler
+//! enforces.
 //!
 //! [`superinstruction_candidates`] additionally detects the adjacent
 //! hot-site shapes ROADMAP item 2 wants fused into superinstructions:
@@ -29,9 +28,13 @@
 //! * `table_forward` — a table lookup (`tblGet`/`tblHas`) feeding a
 //!   send (`OnRemote`/`OnNeighbor`) through a `let` or an `if`.
 //!
-//! Candidates are static; the profiler ranks them by observed steps.
+//! Candidates are found by the same recurrence (a function's candidates
+//! are found once and added at each call site) and listed once per
+//! channel overload. They are static; the profiler ranks them by
+//! observed steps.
 
-use planp_lang::span::line_col;
+use crate::path::{path_bounds, PathMeasure};
+use planp_lang::span::{line_col, LineCols};
 use planp_lang::tast::{TExpr, TExprKind, TProgram};
 use planp_vm::cost::STEPS_PER_NODE;
 use std::collections::BTreeMap;
@@ -76,23 +79,50 @@ pub struct SiteReport {
     pub channels: Vec<ChannelSites>,
 }
 
+/// Per-site steps of one body, by site id, with the node that names
+/// the site: its first pre-order visitor. Distinct nodes desugared onto
+/// the same span merge by summing (still sound: the merged bound covers
+/// the merged observation).
+#[derive(Default)]
+struct SiteSteps<'p>(BTreeMap<u32, (u64, &'p TExpr)>);
+
+impl PathMeasure for SiteSteps<'_> {
+    fn then(&mut self, next: &Self) {
+        for (&site, &(steps, node)) in &next.0 {
+            self.0.entry(site).or_insert((0, node)).0.then(&steps);
+        }
+    }
+
+    /// Keeps every site of both arms: an `if` charges one arm, the table
+    /// covers either.
+    fn or(&mut self, other: &Self) {
+        self.then(other);
+    }
+}
+
 /// Computes per-site step bounds for every channel overload of `prog`.
 /// `src` is the program source, used only for `line:col` labels.
 pub fn site_bounds(prog: &TProgram, src: &str) -> SiteReport {
+    let tables = path_bounds(prog, |e, acc: &mut SiteSteps| {
+        let (steps, _) = acc.0.entry(e.span.start).or_insert((0, e));
+        steps.then(&STEPS_PER_NODE);
+    });
     let channels = prog
         .channels
         .iter()
-        .map(|ch| {
-            let mut acc: BTreeMap<u32, (u64, String)> = BTreeMap::new();
-            walk_sites(&ch.body, prog, src, 1, &mut acc);
+        .zip(tables.channels)
+        .map(|(ch, table)| {
+            // Sites ascend, so one cursor labels a whole table.
+            let mut at = LineCols::new(src);
             ChannelSites {
                 name: ch.name.clone(),
                 overload: ch.overload,
-                sites: acc
+                sites: table
+                    .0
                     .into_iter()
-                    .map(|(site, (bound_steps, label))| SiteInfo {
+                    .map(|(site, (bound_steps, node))| SiteInfo {
                         site,
-                        label,
+                        label: format!("{}:{}", at.at(site), kind_label(node, prog)),
                         bound_steps,
                     })
                     .collect(),
@@ -100,68 +130,6 @@ pub fn site_bounds(prog: &TProgram, src: &str) -> SiteReport {
         })
         .collect();
     SiteReport { channels }
-}
-
-/// Adds `mult` invocations of every node under `e` to `acc`, keyed by
-/// site. Distinct nodes desugared onto the same span merge by summing
-/// (still sound: the merged bound covers the merged observation).
-fn walk_sites(
-    e: &TExpr,
-    prog: &TProgram,
-    src: &str,
-    mult: u64,
-    acc: &mut BTreeMap<u32, (u64, String)>,
-) {
-    let site = e.span.start;
-    let entry = acc.entry(site).or_insert_with(|| {
-        (
-            0,
-            format!("{}:{}", line_col(src, site), kind_label(e, prog)),
-        )
-    });
-    entry.0 = entry.0.saturating_add(mult.saturating_mul(STEPS_PER_NODE));
-    match &e.kind {
-        TExprKind::CallFun { index, args } => {
-            for a in args {
-                walk_sites(a, prog, src, mult, acc);
-            }
-            if let Some(f) = prog.funs.get(*index as usize) {
-                walk_sites(&f.body, prog, src, mult, acc);
-            }
-        }
-        _ => {
-            let mut children = Vec::new();
-            collect_children(e, &mut children);
-            for c in children {
-                walk_sites(c, prog, src, mult, acc);
-            }
-        }
-    }
-}
-
-/// The direct subexpressions of `e`, in evaluation order.
-fn collect_children<'a>(e: &'a TExpr, out: &mut Vec<&'a TExpr>) {
-    use TExprKind::*;
-    match &e.kind {
-        Int(_)
-        | Bool(_)
-        | Str(_)
-        | Char(_)
-        | Unit
-        | Host(_)
-        | Local { .. }
-        | Global { .. }
-        | Raise(_) => {}
-        Tuple(items) | Seq(items) | List(items) => out.extend(items.iter()),
-        Proj(_, inner) | Unop(_, inner) => out.push(inner),
-        CallFun { args, .. } | CallPrim { args, .. } => out.extend(args.iter()),
-        If(c, t, f) => out.extend([c.as_ref(), t.as_ref(), f.as_ref()]),
-        Let { init, body, .. } => out.extend([init.as_ref(), body.as_ref()]),
-        Binop(_, a, b) => out.extend([a.as_ref(), b.as_ref()]),
-        Handle(body, _, handler) => out.extend([body.as_ref(), handler.as_ref()]),
-        OnRemote { pkt, .. } => out.push(pkt),
-        OnNeighbor { host, pkt, .. } => out.extend([host.as_ref(), pkt.as_ref()]),
-    }
 }
 
 /// A short node-kind tag for site labels (no spaces or semicolons).
@@ -234,15 +202,12 @@ fn is_header_read(name: &str) -> bool {
     )
 }
 
-/// True if any node under `e` satisfies `pred`; when it does, the
-/// first matching site (pre-order) is appended to `sites`.
+/// The first site (pre-order) under `e` whose node satisfies `pred`.
 fn find_site(e: &TExpr, pred: &dyn Fn(&TExprKind) -> bool) -> Option<u32> {
     if pred(&e.kind) {
         return Some(e.span.start);
     }
-    let mut children = Vec::new();
-    collect_children(e, &mut children);
-    children.iter().find_map(|c| find_site(c, pred))
+    e.children().find_map(|c| find_site(c, pred))
 }
 
 fn is_table_read(k: &TExprKind) -> bool {
@@ -254,35 +219,52 @@ fn is_send(k: &TExprKind) -> bool {
     matches!(k, TExprKind::OnRemote { .. } | TExprKind::OnNeighbor { .. })
 }
 
-/// Detects superinstruction candidates in every channel overload of
-/// `prog` (recursing into called functions), in source order.
-pub fn superinstruction_candidates(prog: &TProgram, src: &str) -> Vec<SuperinstructionCandidate> {
-    let mut out = Vec::new();
-    for ch in &prog.channels {
-        scan(&ch.body, prog, src, &ch.name, ch.overload, &mut out);
-    }
-    out
+/// A candidate found in one body: its pattern, participating sites
+/// (ascending), and anchoring node.
+struct Found {
+    pattern: &'static str,
+    sites: Vec<u32>,
+    anchor: u32,
 }
 
-fn scan(
-    e: &TExpr,
-    prog: &TProgram,
-    src: &str,
-    chan: &str,
-    overload: u32,
-    out: &mut Vec<SuperinstructionCandidate>,
-) {
-    let mut push = |pattern: &'static str, anchor: u32, mut sites: Vec<u32>| {
+/// The candidates of one body, in evaluation order (a call's argument
+/// candidates before its callee's), each `(pattern, sites)` listed once.
+#[derive(Default)]
+struct Candidates(Vec<Found>);
+
+impl Candidates {
+    fn add(&mut self, pattern: &'static str, anchor: u32, mut sites: Vec<u32>) {
         sites.sort_unstable();
         sites.dedup();
-        out.push(SuperinstructionCandidate {
-            pattern,
-            chan: chan.to_string(),
-            overload,
-            sites,
-            label: line_col(src, anchor).to_string(),
-        });
-    };
+        if !self
+            .0
+            .iter()
+            .any(|f| f.pattern == pattern && f.sites == sites)
+        {
+            self.0.push(Found {
+                pattern,
+                sites,
+                anchor,
+            });
+        }
+    }
+}
+
+impl PathMeasure for Candidates {
+    fn then(&mut self, next: &Self) {
+        for f in &next.0 {
+            self.add(f.pattern, f.anchor, f.sites.clone());
+        }
+    }
+
+    fn or(&mut self, other: &Self) {
+        self.then(other);
+    }
+}
+
+/// Adds the candidates anchored at node `e` itself.
+fn anchored_at(e: &TExpr, acc: &mut Candidates) {
+    let anchor = e.span.start;
     match &e.kind {
         // `if <hdr-read … compare …> then … else …` — the dispatch shape.
         TExprKind::If(c, t, f) => {
@@ -294,19 +276,13 @@ fn scan(
                 use planp_lang::ast::BinOp::*;
                 matches!(k, TExprKind::Binop(op, ..) if matches!(op, Eq | Ne | Lt | Le | Gt | Ge))
             });
-            if let Some(h) = hdr {
-                if let Some(cm) = cmp {
-                    push(
-                        "hdr_compare_branch",
-                        e.span.start,
-                        vec![e.span.start, h, cm],
-                    );
-                }
+            if let (Some(h), Some(cm)) = (hdr, cmp) {
+                acc.add("hdr_compare_branch", anchor, vec![anchor, h, cm]);
             }
             // `if <table-read …> then <send …>` — lookup-then-forward.
             if let Some(tr) = find_site(c, &is_table_read) {
                 if let Some(s) = find_site(t, &is_send).or_else(|| find_site(f, &is_send)) {
-                    push("table_forward", e.span.start, vec![e.span.start, tr, s]);
+                    acc.add("table_forward", anchor, vec![anchor, tr, s]);
                 }
             }
         }
@@ -315,22 +291,32 @@ fn scan(
         TExprKind::Let { init, body, .. } => {
             if let Some(tr) = find_site(init, &is_table_read) {
                 if let Some(s) = find_site(body, &is_send) {
-                    push("table_forward", e.span.start, vec![e.span.start, tr, s]);
+                    acc.add("table_forward", anchor, vec![anchor, tr, s]);
                 }
-            }
-        }
-        TExprKind::CallFun { index, .. } => {
-            if let Some(f) = prog.funs.get(*index as usize) {
-                scan(&f.body, prog, src, chan, overload, out);
             }
         }
         _ => {}
     }
-    let mut children = Vec::new();
-    collect_children(e, &mut children);
-    for c in children {
-        scan(c, prog, src, chan, overload, out);
-    }
+}
+
+/// Detects superinstruction candidates in every channel overload of
+/// `prog` (including called functions), in evaluation order: a call
+/// lists its arguments' candidates, then its callee's.
+pub fn superinstruction_candidates(prog: &TProgram, src: &str) -> Vec<SuperinstructionCandidate> {
+    let found = path_bounds(prog, anchored_at);
+    prog.channels
+        .iter()
+        .zip(found.channels)
+        .flat_map(|(ch, cands)| {
+            cands.0.into_iter().map(|f| SuperinstructionCandidate {
+                pattern: f.pattern,
+                chan: ch.name.clone(),
+                overload: ch.overload,
+                sites: f.sites,
+                label: line_col(src, f.anchor).to_string(),
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -449,5 +435,27 @@ mod tests {
             assert!(c.sites.len() >= 2);
             assert!(c.sites.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    #[test]
+    fn call_site_candidates_are_listed_in_evaluation_order() {
+        // A call runs its arguments, then the callee's body: the
+        // argument's candidate is listed before the callee's.
+        let src = "fun g(p : ip*udp*blob) : int = if udpDst(#2 p) = 80 then 1 else 0\n\
+                   channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+                   ((ps + g(if udpSrc(#2 p) = 7 then p else p), ss))";
+        let tp = compile_front(src).unwrap();
+        let cands = superinstruction_candidates(&tp, src);
+        let labels: Vec<_> = cands
+            .iter()
+            .map(|c| (c.pattern, c.label.as_str()))
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                ("hdr_compare_branch", "3:10"),
+                ("hdr_compare_branch", "1:32")
+            ]
+        );
     }
 }

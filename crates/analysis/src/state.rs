@@ -13,9 +13,10 @@
 //!   `thisHost()`, and tuples thereof) or *packet-derived* (anything
 //!   that can differ across dispatches: packet fields, clock, RNG,
 //!   table reads);
-//! * the worst-case number of inserts and evictions per dispatch
-//!   (composed like the [cost bounds](crate::cost): sequence = sum,
-//!   branch = max, handler = sum).
+//! * the worst-case number of inserts and evictions per dispatch, an
+//!   instance of the path-bound recurrence (`crate::path`, stated in
+//!   DESIGN.md) in which each `tblSet` charges one insert and each
+//!   `tblDel`/`tblClear` one eviction.
 //!
 //! Per table, the entry bound is three-tiered ([`EntryBound`]):
 //!
@@ -35,7 +36,7 @@
 //! lints `S001`–`S004` ([`state_lints`]) ride on the same facts.
 
 use crate::diag::Diagnostic;
-use crate::duplication::compute_may_copy;
+use crate::path::{path_bounds, PathMeasure};
 use crate::summary::ProgramSummary;
 use planp_lang::prims::{self, PrimClass};
 use planp_lang::span::Span;
@@ -138,19 +139,15 @@ pub struct StateCounts {
     pub evicts: u64,
 }
 
-impl StateCounts {
-    fn then(self, o: StateCounts) -> StateCounts {
-        StateCounts {
-            inserts: self.inserts.saturating_add(o.inserts),
-            evicts: self.evicts.saturating_add(o.evicts),
-        }
+impl PathMeasure for StateCounts {
+    fn then(&mut self, next: &Self) {
+        self.inserts.then(&next.inserts);
+        self.evicts.then(&next.evicts);
     }
 
-    fn or(self, o: StateCounts) -> StateCounts {
-        StateCounts {
-            inserts: self.inserts.max(o.inserts),
-            evicts: self.evicts.max(o.evicts),
-        }
+    fn or(&mut self, other: &Self) {
+        self.inserts.or(&other.inserts);
+        self.evicts.or(&other.evicts);
     }
 }
 
@@ -340,7 +337,6 @@ struct TableAcc {
 /// Per-function precomputed facts.
 #[derive(Debug, Clone, Copy, Default)]
 struct FunInfo {
-    counts: StateCounts,
     state_dep_write: bool,
     unhandled_get: bool,
 }
@@ -364,65 +360,52 @@ impl Cx {
         self.tables.entry(id).or_default()
     }
 
-    /// Walks `e`, returning its abstract value and per-dispatch counts.
-    /// `handled` counts enclosing handlers that catch `NotFound`.
+    /// Walks `e`, returning its abstract value. `handled` counts
+    /// enclosing handlers that catch `NotFound`.
     fn walk(
         &mut self,
         e: &TExpr,
         env: &mut HashMap<u32, SVal>,
         acc: &mut BodyAcc,
         handled: u32,
-    ) -> (SVal, StateCounts) {
+    ) -> SVal {
         use TExprKind::*;
-        let zero = StateCounts::default();
         match &e.kind {
-            Int(_) | Bool(_) | Str(_) | Char(_) | Unit | Host(_) => (SVal::Finite(1), zero),
-            Global { .. } => (SVal::Finite(1), zero),
-            Local { slot, .. } => (env.get(slot).cloned().unwrap_or(SVal::Opaque), zero),
-            Tuple(items) => {
-                let mut vals = Vec::with_capacity(items.len());
-                let mut c = zero;
-                for it in items {
-                    let (v, ic) = self.walk(it, env, acc, handled);
-                    vals.push(v);
-                    c = c.then(ic);
-                }
-                (SVal::Tup(vals), c)
-            }
+            Int(_) | Bool(_) | Str(_) | Char(_) | Unit | Host(_) => SVal::Finite(1),
+            Global { .. } => SVal::Finite(1),
+            Local { slot, .. } => env.get(slot).cloned().unwrap_or(SVal::Opaque),
+            Tuple(items) => SVal::Tup(
+                items
+                    .iter()
+                    .map(|it| self.walk(it, env, acc, handled))
+                    .collect(),
+            ),
             List(items) | Seq(items) => {
-                let mut c = zero;
                 let mut last = SVal::Finite(1);
                 for it in items {
-                    let (v, ic) = self.walk(it, env, acc, handled);
-                    last = v;
-                    c = c.then(ic);
+                    last = self.walk(it, env, acc, handled);
                 }
-                let v = if matches!(&e.kind, Seq(_)) {
+                if matches!(&e.kind, Seq(_)) {
                     last
                 } else {
                     SVal::Opaque
-                };
-                (v, c)
+                }
             }
-            Proj(i, inner) => {
-                let (v, c) = self.walk(inner, env, acc, handled);
-                let v = match v {
-                    SVal::Pkt => SVal::Varying,
-                    SVal::State(root, mut path) => {
-                        path.push(*i);
-                        SVal::State(root, path)
-                    }
-                    SVal::Tup(items) => items.get(*i as usize).cloned().unwrap_or(SVal::Opaque),
-                    other => other,
-                };
-                (v, c)
-            }
+            Proj(i, inner) => match self.walk(inner, env, acc, handled) {
+                SVal::Pkt => SVal::Varying,
+                SVal::State(root, mut path) => {
+                    path.push(*i);
+                    SVal::State(root, path)
+                }
+                SVal::Tup(items) => items.get(*i as usize).cloned().unwrap_or(SVal::Opaque),
+                other => other,
+            },
             Let {
                 slot, init, body, ..
             } => {
-                let (iv, ic) = self.walk(init, env, acc, handled);
+                let iv = self.walk(init, env, acc, handled);
                 let prev = env.insert(*slot, iv);
-                let (bv, bc) = self.walk(body, env, acc, handled);
+                let bv = self.walk(body, env, acc, handled);
                 match prev {
                     Some(p) => {
                         env.insert(*slot, p);
@@ -431,48 +414,45 @@ impl Cx {
                         env.remove(slot);
                     }
                 }
-                (bv, ic.then(bc))
+                bv
             }
             If(c, t, f) => {
-                let (_, cc) = self.walk(c, env, acc, handled);
-                let (tv, tc) = self.walk(t, env, acc, handled);
-                let (fv, fc) = self.walk(f, env, acc, handled);
-                (tv.join(fv), cc.then(tc.or(fc)))
+                self.walk(c, env, acc, handled);
+                let tv = self.walk(t, env, acc, handled);
+                let fv = self.walk(f, env, acc, handled);
+                tv.join(fv)
             }
             Binop(_, a, b) => {
-                let (av, ac) = self.walk(a, env, acc, handled);
-                let (bv, bc) = self.walk(b, env, acc, handled);
-                (mix(&[av, bv]), ac.then(bc))
+                let av = self.walk(a, env, acc, handled);
+                let bv = self.walk(b, env, acc, handled);
+                mix(&[av, bv])
             }
             Unop(_, a) => {
-                let (av, ac) = self.walk(a, env, acc, handled);
-                (mix(&[av]), ac)
+                let av = self.walk(a, env, acc, handled);
+                mix(&[av])
             }
-            Raise(_) => (SVal::Opaque, zero),
+            Raise(_) => SVal::Opaque,
             Handle(body, exn, handler) => {
                 // A wildcard or NotFound handler shields `tblGet`s in the
-                // body; counts sum conservatively (body may run up to the
-                // raise, then the handler).
+                // body.
                 let shields = exn.is_none() || *exn == self.notfound;
                 let inner = if shields { handled + 1 } else { handled };
-                let (bv, bc) = self.walk(body, env, acc, inner);
-                let (hv, hc) = self.walk(handler, env, acc, handled);
-                (bv.join(hv), bc.then(hc))
+                let bv = self.walk(body, env, acc, inner);
+                let hv = self.walk(handler, env, acc, handled);
+                bv.join(hv)
             }
             OnRemote { pkt, .. } => {
-                let (_, c) = self.walk(pkt, env, acc, handled);
-                (SVal::Finite(1), c)
+                self.walk(pkt, env, acc, handled);
+                SVal::Finite(1)
             }
             OnNeighbor { host, pkt, .. } => {
-                let (_, hc) = self.walk(host, env, acc, handled);
-                let (_, pc) = self.walk(pkt, env, acc, handled);
-                (SVal::Finite(1), hc.then(pc))
+                self.walk(host, env, acc, handled);
+                self.walk(pkt, env, acc, handled);
+                SVal::Finite(1)
             }
             CallFun { index, args, .. } => {
-                let mut c = zero;
                 for a in args {
-                    let (_, ac) = self.walk(a, env, acc, handled);
-                    c = c.then(ac);
+                    self.walk(a, env, acc, handled);
                 }
                 let info = self
                     .fun_infos
@@ -485,16 +465,13 @@ impl Cx {
                 if info.unhandled_get && handled == 0 {
                     acc.unhandled_gets.push((None, e.span));
                 }
-                (SVal::Opaque, c.then(info.counts))
+                SVal::Opaque
             }
             CallPrim { prim, args } => {
-                let mut vals = Vec::with_capacity(args.len());
-                let mut c = zero;
-                for a in args {
-                    let (v, ac) = self.walk(a, env, acc, handled);
-                    vals.push(v);
-                    c = c.then(ac);
-                }
+                let vals: Vec<SVal> = args
+                    .iter()
+                    .map(|a| self.walk(a, env, acc, handled))
+                    .collect();
                 let sig = prims::table().sig(*prim);
                 match sig.name {
                     "tblSet" => {
@@ -518,23 +495,11 @@ impl Cx {
                         if value_reads_state && acc.state_dep_write.is_none() {
                             acc.state_dep_write = Some(e.span);
                         }
-                        (
-                            SVal::Finite(1),
-                            c.then(StateCounts {
-                                inserts: 1,
-                                evicts: 0,
-                            }),
-                        )
+                        SVal::Finite(1)
                     }
                     "tblDel" | "tblClear" => {
                         self.table(target_of(&vals[0])).eviction = true;
-                        (
-                            SVal::Finite(1),
-                            c.then(StateCounts {
-                                inserts: 0,
-                                evicts: 1,
-                            }),
-                        )
+                        SVal::Finite(1)
                     }
                     "tblGet" => {
                         let id = target_of(&vals[0]);
@@ -547,26 +512,37 @@ impl Cx {
                         if handled == 0 {
                             acc.unhandled_gets.push((Some(id), e.span));
                         }
-                        (SVal::StateRead, c)
+                        SVal::StateRead
                     }
                     "tblHas" | "tblSize" => {
                         self.table(target_of(&vals[0])).reads += 1;
-                        (SVal::StateRead, c)
+                        SVal::StateRead
                     }
-                    "mkTable" => (SVal::State(StateRoot::Unknown, Vec::new()), c),
-                    "thisHost" => (SVal::Finite(1), c),
-                    _ => {
-                        let v = match sig.class {
-                            PrimClass::Pure | PrimClass::Alloc => mix(&vals),
-                            PrimClass::Env => SVal::Varying,
-                            PrimClass::Io | PrimClass::StateWrite => SVal::Finite(1),
-                        };
-                        (v, c)
-                    }
+                    "mkTable" => SVal::State(StateRoot::Unknown, Vec::new()),
+                    "thisHost" => SVal::Finite(1),
+                    _ => match sig.class {
+                        PrimClass::Pure | PrimClass::Alloc => mix(&vals),
+                        PrimClass::Env => SVal::Varying,
+                        PrimClass::Io | PrimClass::StateWrite => SVal::Finite(1),
+                    },
                 }
             }
         }
     }
+}
+
+/// The per-dispatch counts of every function and channel body.
+fn state_counts(prog: &TProgram) -> Vec<StateCounts> {
+    path_bounds(prog, |e, acc: &mut StateCounts| {
+        if let TExprKind::CallPrim { prim, .. } = &e.kind {
+            match prims::table().sig(*prim).name {
+                "tblSet" => acc.inserts.then(&1),
+                "tblDel" | "tblClear" => acc.evicts.then(&1),
+                _ => {}
+            }
+        }
+    })
+    .channels
 }
 
 /// The table a `tbl*` primitive operates on.
@@ -686,21 +662,20 @@ pub fn state_effects(prog: &TProgram) -> StateReport {
             env.insert(slot as u32, SVal::Opaque);
         }
         let mut acc = BodyAcc::default();
-        let (_, counts) = cx.walk(&f.body, &mut env, &mut acc, 0);
+        cx.walk(&f.body, &mut env, &mut acc, 0);
         cx.fun_infos.push(FunInfo {
-            counts,
             state_dep_write: acc.state_dep_write.is_some(),
             unhandled_get: !acc.unhandled_gets.is_empty(),
         });
     }
     let mut channels = Vec::with_capacity(prog.channels.len());
-    for (i, ch) in prog.channels.iter().enumerate() {
+    for ((i, ch), counts) in prog.channels.iter().enumerate().zip(state_counts(prog)) {
         let mut env = HashMap::new();
         env.insert(0, SVal::State(StateRoot::Proto, Vec::new()));
         env.insert(1, SVal::State(StateRoot::Chan(i), Vec::new()));
         env.insert(2, SVal::Pkt);
         let mut acc = BodyAcc::default();
-        let (_, counts) = cx.walk(&ch.body, &mut env, &mut acc, 0);
+        cx.walk(&ch.body, &mut env, &mut acc, 0);
         channels.push((
             ChannelState {
                 name: ch.name.clone(),
@@ -810,10 +785,9 @@ pub fn state_lints(prog: &TProgram, sum: &ProgramSummary) -> Vec<Diagnostic> {
     // (it is the target of a send from a may-copy channel) must keep its
     // state writes idempotent — a value derived from mutable state is
     // re-derived differently on the copy.
-    let dup = compute_may_copy(prog, sum);
     let mut exposed = vec![false; prog.channels.len()];
     for (i, es) in sum.channels.iter().enumerate() {
-        if !dup.may_copy.get(i).copied().unwrap_or(false) {
+        if !sum.dup.may_copy.get(i).copied().unwrap_or(false) {
             continue;
         }
         for site in &es.sites {

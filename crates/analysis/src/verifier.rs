@@ -10,7 +10,7 @@
 use crate::cost::{cost_bounds, CostReport};
 use crate::delivery::check_delivery;
 use crate::diag::Diagnostic;
-use crate::duplication::{check_duplication, compute_may_copy};
+use crate::duplication::check_duplication;
 use crate::lint::lint;
 use crate::modelcheck::{model_check, ModelCheckReport, Verdict, DEFAULT_STATE_BUDGET};
 use crate::summary::{summarize, ProgramSummary};
@@ -408,7 +408,7 @@ pub fn verify_with_summary(prog: &TProgram, sum: &ProgramSummary, policy: Policy
         channels: prog.channels.len(),
         send_sites,
         restart_sites,
-        dup_iterations: compute_may_copy(prog, sum).iterations,
+        dup_iterations: sum.dup.iterations,
     };
     let cost = cost_bounds(prog);
     let budget = check_budget(prog, &cost, policy.max_steps_per_packet);

@@ -67,21 +67,49 @@ impl fmt::Display for LineCol {
 
 /// Computes the [`LineCol`] of byte `offset` within `src`.
 pub fn line_col(src: &str, offset: u32) -> LineCol {
-    let offset = (offset as usize).min(src.len());
-    let mut line = 1u32;
-    let mut col = 1u32;
-    for (i, b) in src.bytes().enumerate() {
-        if i >= offset {
-            break;
-        }
-        if b == b'\n' {
-            line += 1;
-            col = 1;
-        } else {
-            col += 1;
+    LineCols::new(src).at(offset)
+}
+
+/// [`line_col`] for many offsets into one source: ascending offsets
+/// scan it once in all, rather than once each.
+pub struct LineCols<'s> {
+    src: &'s [u8],
+    offset: usize,
+    at: LineCol,
+}
+
+impl<'s> LineCols<'s> {
+    /// A cursor at the start of `src`.
+    pub fn new(src: &'s str) -> Self {
+        LineCols {
+            src: src.as_bytes(),
+            offset: 0,
+            at: LineCol { line: 1, col: 1 },
         }
     }
-    LineCol { line, col }
+
+    /// The [`LineCol`] of byte `offset`. An offset below the previous
+    /// one rescans from the start.
+    pub fn at(&mut self, offset: u32) -> LineCol {
+        let offset = (offset as usize).min(self.src.len());
+        if offset < self.offset {
+            *self = LineCols {
+                src: self.src,
+                offset: 0,
+                at: LineCol { line: 1, col: 1 },
+            };
+        }
+        for &b in &self.src[self.offset..offset] {
+            if b == b'\n' {
+                self.at.line += 1;
+                self.at.col = 1;
+            } else {
+                self.at.col += 1;
+            }
+        }
+        self.offset = offset;
+        self.at
+    }
 }
 
 #[cfg(test)]
@@ -117,6 +145,30 @@ mod tests {
         let src = "ab\ncd\nef";
         assert_eq!(line_col(src, 3), LineCol { line: 2, col: 1 });
         assert_eq!(line_col(src, 7), LineCol { line: 3, col: 2 });
+    }
+
+    #[test]
+    fn line_cols_cursor_matches_line_col() {
+        let src = "ab\ncd\n\nef";
+        let mut cur = LineCols::new(src);
+        for offset in [0, 1, 3, 3, 7, 8, 2, 100] {
+            assert_eq!(
+                cur.at(offset),
+                line_col_scan(src, offset),
+                "offset {offset}"
+            );
+        }
+    }
+
+    /// The direct definition: count lines and columns up to `offset`.
+    fn line_col_scan(src: &str, offset: u32) -> LineCol {
+        let before = &src[..(offset as usize).min(src.len())];
+        let line = 1 + before.matches('\n').count() as u32;
+        let col = 1 + before.len() - before.rfind('\n').map_or(0, |i| i + 1);
+        LineCol {
+            line,
+            col: col as u32,
+        }
     }
 
     #[test]

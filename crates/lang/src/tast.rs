@@ -219,52 +219,41 @@ pub enum TExprKind {
 }
 
 impl TExpr {
+    /// The direct subexpressions, in evaluation order: the one
+    /// definition of child order every structural walk shares.
+    pub fn children(&self) -> impl Iterator<Item = &TExpr> + '_ {
+        use TExprKind::*;
+        // A variadic node's list, or up to three boxed children (the
+        // `None`s only trail).
+        let (list, boxed): (&[TExpr], [Option<&TExpr>; 3]) = match &self.kind {
+            Int(_)
+            | Bool(_)
+            | Str(_)
+            | Char(_)
+            | Unit
+            | Host(_)
+            | Local { .. }
+            | Global { .. }
+            | Raise(_) => (&[], [None; 3]),
+            Tuple(items) | Seq(items) | List(items) => (items, [None; 3]),
+            CallFun { args, .. } | CallPrim { args, .. } => (args, [None; 3]),
+            Proj(_, e) | Unop(_, e) | OnRemote { pkt: e, .. } => (&[], [Some(e), None, None]),
+            If(c, t, f) => (&[], [Some(c), Some(t), Some(f)]),
+            Let { init, body, .. } => (&[], [Some(init), Some(body), None]),
+            Binop(_, a, b)
+            | Handle(a, _, b)
+            | OnNeighbor {
+                host: a, pkt: b, ..
+            } => (&[], [Some(a), Some(b), None]),
+        };
+        list.iter().chain(boxed.into_iter().map_while(|c| c))
+    }
+
     /// Visits this expression and all sub-expressions, pre-order.
     pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a TExpr)) {
         f(self);
-        match &self.kind {
-            TExprKind::Int(_)
-            | TExprKind::Bool(_)
-            | TExprKind::Str(_)
-            | TExprKind::Char(_)
-            | TExprKind::Unit
-            | TExprKind::Host(_)
-            | TExprKind::Local { .. }
-            | TExprKind::Global { .. }
-            | TExprKind::Raise(_) => {}
-            TExprKind::Tuple(items) | TExprKind::Seq(items) | TExprKind::List(items) => {
-                for e in items {
-                    e.walk(f);
-                }
-            }
-            TExprKind::Proj(_, e) | TExprKind::Unop(_, e) => e.walk(f),
-            TExprKind::CallFun { args, .. } | TExprKind::CallPrim { args, .. } => {
-                for a in args {
-                    a.walk(f);
-                }
-            }
-            TExprKind::If(c, t, e) => {
-                c.walk(f);
-                t.walk(f);
-                e.walk(f);
-            }
-            TExprKind::Let { init, body, .. } => {
-                init.walk(f);
-                body.walk(f);
-            }
-            TExprKind::Binop(_, a, b) => {
-                a.walk(f);
-                b.walk(f);
-            }
-            TExprKind::Handle(e, _, h) => {
-                e.walk(f);
-                h.walk(f);
-            }
-            TExprKind::OnRemote { pkt, .. } => pkt.walk(f),
-            TExprKind::OnNeighbor { host, pkt, .. } => {
-                host.walk(f);
-                pkt.walk(f);
-            }
+        for c in self.children() {
+            c.walk(f);
         }
     }
 }
@@ -302,5 +291,37 @@ mod tests {
         let mut n = 0;
         e.walk(&mut |_| n += 1);
         assert_eq!(n, 6);
+    }
+
+    #[test]
+    fn children_are_in_evaluation_order() {
+        let int = |i| leaf(TExprKind::Int(i), Type::Int);
+        let ints = |e: &TExpr| -> Vec<i64> {
+            e.children()
+                .map(|c| match c.kind {
+                    TExprKind::Int(i) => i,
+                    _ => unreachable!(),
+                })
+                .collect()
+        };
+        let cond = leaf(
+            TExprKind::If(Box::new(int(1)), Box::new(int(2)), Box::new(int(3))),
+            Type::Int,
+        );
+        assert_eq!(ints(&cond), vec![1, 2, 3]);
+        let call = leaf(
+            TExprKind::CallFun {
+                index: 0,
+                args: vec![int(4), int(5)],
+            },
+            Type::Int,
+        );
+        assert_eq!(ints(&call), vec![4, 5]);
+        let handle = leaf(
+            TExprKind::Handle(Box::new(int(6)), None, Box::new(int(7))),
+            Type::Int,
+        );
+        assert_eq!(ints(&handle), vec![6, 7]);
+        assert_eq!(ints(&int(8)), Vec::<i64>::new());
     }
 }

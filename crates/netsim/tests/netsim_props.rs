@@ -132,11 +132,11 @@ impl PacketHook for Shedder {
             return HookVerdict::Pass(pkt);
         }
         self.seen += 1;
-        if self.seen % self.shed_mod == 0 {
+        if self.seen.is_multiple_of(self.shed_mod) {
             api.node_drop(&pkt, DropReason::Shed);
             return HookVerdict::Handled;
         }
-        if self.seen % self.expire_mod == 0 {
+        if self.seen.is_multiple_of(self.expire_mod) {
             api.node_drop(&pkt, DropReason::DeadlineExpired);
             return HookVerdict::Handled;
         }

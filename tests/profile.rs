@@ -21,9 +21,12 @@
 
 use std::collections::BTreeMap;
 
-use planp::analysis::site_bounds;
+use planp::analysis::{cost_bounds, site_bounds, superinstruction_candidates, Policy};
 use planp::lang::compile_front;
+use planp::runtime::{load, LayerConfig, PlanpLayer};
 use planp::telemetry::ProfileRegistry;
+use planp::telemetry::Telemetry;
+use planp::vm::cost::STEPS_PER_NODE;
 use planp::vm::env::MockEnv;
 use planp::vm::interp::Interp;
 use planp::vm::jit;
@@ -206,6 +209,70 @@ fn http_gateway_attribution_is_exact_and_engine_identical() {
             blob,
         ])
     });
+}
+
+/// The doubling call chain `f_k(x) = f_{k-1}(x) + f_{k-1}(x)`: `f0`'s
+/// body runs `2^depth` times per dispatch. It has no branches, so every
+/// bound is exact, and `f0`'s body is the single node `x`.
+fn doubling_chain(depth: u32) -> String {
+    let mut src = String::from("fun f0(x : int) : int = x\n");
+    for k in 1..=depth {
+        src += &format!("fun f{k}(x : int) : int = f{j}(x) + f{j}(x)\n", j = k - 1);
+    }
+    src +=
+        &format!("channel network(ps : int, ss : unit, p : ip*udp*blob) is (f{depth}(ps), ss)\n");
+    src
+}
+
+#[test]
+fn doubling_chain_attribution_is_exact_and_engine_identical() {
+    check_attribution(&doubling_chain(6), 0, |rng| {
+        let r = rng.next();
+        Value::tuple(vec![
+            Value::Ip(IpHdr::new(
+                addr(10, 0, 0, 1),
+                addr(10, 0, 1, 1),
+                IpHdr::PROTO_UDP,
+            )),
+            Value::Udp(UdpHdr::new(r as u16, (r >> 16) as u16)),
+            random_blob(rng),
+        ])
+    });
+}
+
+#[test]
+fn doubling_chain_site_bounds_are_exact_and_install_is_fast() {
+    let depth = 22;
+    let src = doubling_chain(depth);
+    let image = load(&src, Policy::no_delivery()).expect("the chain verifies");
+    let prog = &image.prog;
+
+    // Each function's sites and candidates are found once, not once per
+    // call path: the 2^22 paths into `f0` cost nothing extra.
+    let start = std::time::Instant::now();
+    let report = site_bounds(prog, &src);
+    let candidates = superinstruction_candidates(prog, &src);
+    let mut tel = Telemetry::default();
+    PlanpLayer::new(&image, LayerConfig::default(), 1, "r1", &mut tel).expect("install");
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "site bounds, candidates and install took {elapsed:?}"
+    );
+    assert!(candidates.is_empty());
+
+    let sites = &report.channels[0];
+    let f0 = prog.funs[0].body.span.start;
+    let f0_bound = sites
+        .sites
+        .iter()
+        .find(|s| s.site == f0)
+        .expect("f0's body is reachable")
+        .bound_steps;
+    assert_eq!(f0_bound, (1u64 << depth) * STEPS_PER_NODE);
+    // Branch-free: the per-site decomposition adds up to the whole-body
+    // bound exactly.
+    assert_eq!(sites.total_bound(), cost_bounds(prog).max_steps());
 }
 
 /// Asserts a whole run's profile registry honored the profiler's
