@@ -31,10 +31,9 @@
 //! (`r1/network#0`) and whose spans point at the responsible `deploy`
 //! lines of the plan source.
 
-use crate::modelcheck::Verdict;
+use crate::modelcheck::{scc, Verdict};
 use crate::plan::{Install, PlanAsp, PlanTopology};
 use crate::summary::{DestAbs, SendKind};
-use crate::termination::scc;
 use crate::witness::{Witness, WitnessHop, WitnessKind};
 use planp_lang::span::Span;
 use std::collections::{HashMap, VecDeque};

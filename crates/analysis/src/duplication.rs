@@ -24,7 +24,7 @@
 use crate::diag::Diagnostic;
 use crate::path::{path_bounds, PathMeasure};
 use crate::summary::{DestAbs, ExprSummary, ProgramSummary, SendSite};
-use crate::termination::Outcome;
+use crate::verifier::Outcome;
 use planp_lang::tast::{TExprKind, TProgram};
 use std::collections::HashMap;
 

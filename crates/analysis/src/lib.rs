@@ -5,11 +5,16 @@
 //!
 //! * **local termination** — holds by construction (the front end rules
 //!   out recursion and unbounded loops);
-//! * **[global termination](termination)** — packets cannot cycle through
-//!   the network, proved by state exploration over channels × abstract
-//!   destinations, under the assumption that IP routing is acyclic;
-//! * **[guaranteed delivery](delivery)** — no cycles, no escaping
-//!   exceptions, and every path forwards or delivers;
+//! * **[global termination](modelcheck)** — packets cannot cycle through
+//!   the network, proved by explicit-state exploration over (channel ×
+//!   abstract destination × source-intact) states, under the assumption
+//!   that IP routing is acyclic;
+//! * **[guaranteed delivery](modelcheck)** — no cycles, no escaping
+//!   exceptions, and every path forwards or delivers. Both properties
+//!   have this one checker: a violation rejects with a minimal
+//!   counterexample [witness](witness) (codes `E005`/`E006`) that
+//!   replays through the simulator, and an exhausted budget of states
+//!   plus transitions rejects as unprovable (`E001`/`E002`);
 //! * **[linear duplication](duplication)** — a fix-point proof that
 //!   packet copies do not compound exponentially;
 //! * **[per-packet cost bounds](cost)** — a worst-case bound on VM steps
@@ -29,12 +34,6 @@
 //!   entry bounds. Feeds the `E009`/`E010` state-safety verdicts
 //!   ([`Policy::with_state_budget`]), the plan-level `budget state`
 //!   composition, and the `S001`–`S004` state lints;
-//! * **[exhaustive model checking](modelcheck)** — an explicit-state
-//!   exploration of (channel × destination value × source-intact)
-//!   states that refines the SCC screen's termination/delivery
-//!   verdicts and reconstructs minimal counterexample
-//!   [witnesses](witness) (codes `E005`/`E006`), replayable through
-//!   the simulator;
 //! * **[deployment plans](plan)** — placement of ASPs over named
 //!   topologies with compositional guarantees: a [product model
 //!   check](compose) of co-deployed ASPs catching joint forwarding
@@ -63,7 +62,6 @@
 
 pub mod compose;
 pub mod cost;
-pub mod delivery;
 pub mod diag;
 pub mod duplication;
 pub mod lint;
@@ -73,7 +71,6 @@ pub mod plan;
 pub mod profile;
 pub mod state;
 pub mod summary;
-pub mod termination;
 pub mod verifier;
 pub mod witness;
 
@@ -96,6 +93,5 @@ pub use state::{
     TableState,
 };
 pub use summary::{summarize, DestAbs, ProgramSummary, SendKind, SendSite};
-pub use termination::Outcome;
-pub use verifier::{verify, verify_with_summary, AnalysisStats, Policy, VerifyReport};
+pub use verifier::{verify, verify_with_summary, AnalysisStats, Outcome, Policy, VerifyReport};
 pub use witness::{Witness, WitnessHop, WitnessKind};

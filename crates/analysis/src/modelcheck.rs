@@ -1,12 +1,15 @@
 //! Explicit-state safety model checker (paper section 2.1, the
-//! `r·d·2^d` exploration made literal).
+//! `r·d·2^d` exploration made literal) — the verifier's one tier for
+//! global termination and guaranteed delivery.
 //!
-//! The [SCC screen](crate::termination) collapses the paper's
-//! (channel × abstract destination) state space onto channels with a
-//! progress/restart edge labelling — sound, fast, but path-insensitive:
-//! it cannot tell a send that *changes* the destination from one that
-//! *re-asserts the same* destination, and it cannot say why a program
-//! was rejected. This module enumerates the states themselves:
+//! Local termination holds by construction (no recursion, no unbounded
+//! loops). Global termination is about packets cycling *through the
+//! network*: every `OnRemote` is a recursive call on a remote machine.
+//! Following the paper, assume IP routing tables are acyclic: then an
+//! `OnRemote` whose destination cannot change makes progress — each hop
+//! strictly approaches a fixed address, and on arrival the packet is
+//! delivered rather than re-forwarded. The checker enumerates the
+//! states such an argument ranges over:
 //!
 //! * a **state** is (channel overload, abstract destination value,
 //!   source-still-original), seeded with every channel receiving a
@@ -26,31 +29,26 @@
 //!   escaping exception on any reachable channel.
 //!
 //! The exploration runs a frontier worklist with visited-state hashing
-//! under a configurable state budget; exceeding the budget yields
-//! [`Verdict::Inconclusive`] and the caller falls back to the screen.
-//! On a violation the checker reconstructs a *minimal* counterexample
-//! [`Witness`] — shortest entry prefix plus shortest cycle, by BFS over
-//! the explored graph — for rendering (codes `E005`/`E006`) and for
-//! concrete replay through the simulator.
-//!
-//! The refinement is one-directional by construction: every
-//! state-graph cycle projects onto a channel-graph cycle and every
-//! non-progress state hop comes from a screen-restart site, so a
-//! screen *accept* implies an exhaustive *accept* — the checker can
-//! only prove programs the approximation rejects, never the reverse
-//! (cross-validated by the test suite).
+//! under a budget on states plus transitions; exceeding it yields
+//! [`Verdict::Inconclusive`], which the verifier rejects as unprovable
+//! (`E001`/`E002`). Send sites with the same transfer fire one edge per
+//! state, so a channel's repeated sends cost one transition each, not
+//! one per copy. On a violation the checker reconstructs a *minimal*
+//! counterexample [`Witness`] — shortest entry prefix plus shortest
+//! cycle, by BFS over the explored graph — for rendering (codes
+//! `E005`/`E006`) and for concrete replay through the simulator.
 
-use crate::summary::{DestAbs, ProgramSummary, SendKind};
-use crate::termination::scc;
+use crate::summary::{DestAbs, ProgramSummary, SendKind, SendSite};
 use crate::witness::{Witness, WitnessHop, WitnessKind};
 use planp_lang::prims;
 use planp_lang::span::Span;
 use planp_lang::tast::{TExpr, TExprKind, TProgram};
 use std::collections::{HashMap, VecDeque};
 
-/// Default cap on explored states; the bundled ASPs need well under a
-/// hundred, so the default leaves room for generated programs while
-/// bounding a hostile download's verification cost.
+/// Default cap on explored states plus distinct transitions; the bundled
+/// ASPs need well under a hundred, so the default leaves room for
+/// generated programs while bounding a hostile download's verification
+/// cost.
 pub const DEFAULT_STATE_BUDGET: usize = 1 << 16;
 
 /// Abstract value of the in-flight packet's destination field.
@@ -103,8 +101,8 @@ pub enum Verdict {
     Proved,
     /// A counterexample exists (see [`ModelCheckReport::witnesses`]).
     Violated,
-    /// The state budget was exhausted before the exploration finished;
-    /// fall back to the screening analysis.
+    /// The budget of states plus transitions was exhausted before the
+    /// exploration finished; the property is unproved.
     Inconclusive,
 }
 
@@ -143,9 +141,10 @@ pub struct ModelCheckReport {
     pub delivery: Verdict,
     /// States explored (the paper's `r·d·2^d`, reachable part only).
     pub states: usize,
-    /// Transitions explored.
+    /// Transitions explored, counting every send site that fired.
     pub transitions: usize,
-    /// The state budget the exploration ran under.
+    /// The budget the exploration ran under: a cap on states plus
+    /// distinct transitions (the edges stored).
     pub budget: usize,
     /// True if the budget stopped the exploration early.
     pub exhausted: bool,
@@ -201,7 +200,13 @@ pub fn model_check(prog: &TProgram, sum: &ProgramSummary, budget: usize) -> Mode
     let mut states: Vec<State> = Vec::new();
     let mut index: HashMap<State, usize> = HashMap::new();
     let mut edges: Vec<Edge> = Vec::new();
+    let mut transitions = 0;
     let mut exhausted = false;
+    let classes: Vec<Vec<(usize, usize)>> = sum
+        .channels
+        .iter()
+        .map(|ch| transfer_classes(&ch.sites))
+        .collect();
 
     // Every channel can receive a fresh packet: destination untouched,
     // source untouched.
@@ -224,7 +229,12 @@ pub fn model_check(prog: &TProgram, sum: &ProgramSummary, budget: usize) -> Mode
         let u = head;
         head += 1;
         let s = states[u];
-        for (si, site) in sum.channels[s.channel].sites.iter().enumerate() {
+        for &(si, copies) in &classes[s.channel] {
+            if states.len() + edges.len() >= budget {
+                exhausted = true;
+                break;
+            }
+            let site = &sum.channels[s.channel].sites[si];
             let dest2 = match site.pkt_dest {
                 DestAbs::Unchanged => s.dest,
                 DestAbs::OrigSrc => {
@@ -254,10 +264,6 @@ pub fn model_check(prog: &TProgram, sum: &ProgramSummary, budget: usize) -> Mode
             let v = match index.get(&t) {
                 Some(&v) => v,
                 None => {
-                    if states.len() >= budget {
-                        exhausted = true;
-                        break;
-                    }
                     index.insert(t, states.len());
                     states.push(t);
                     states.len() - 1
@@ -270,6 +276,7 @@ pub fn model_check(prog: &TProgram, sum: &ProgramSummary, budget: usize) -> Mode
                 site: si,
                 progress,
             });
+            transitions += copies;
         }
     }
 
@@ -295,6 +302,7 @@ pub fn model_check(prog: &TProgram, sum: &ProgramSummary, budget: usize) -> Mode
                 &edges,
                 &violating,
                 n,
+                budget,
                 sum,
                 &chan_label,
             ));
@@ -353,11 +361,31 @@ pub fn model_check(prog: &TProgram, sum: &ProgramSummary, budget: usize) -> Mode
         termination,
         delivery,
         states: states.len(),
-        transitions: edges.len(),
+        transitions,
         budget,
         exhausted,
         witnesses,
     }
+}
+
+/// Groups a channel's send sites by transfer — target, kind, packet
+/// destination and source abstraction — which fixes the edge a site
+/// fires from any state. Returns `(first site, copies)` per class in
+/// site order; the first site is the one a witness shows, since a
+/// later copy's edge never shortens a path.
+fn transfer_classes(sites: &[SendSite]) -> Vec<(usize, usize)> {
+    let mut class_of = HashMap::new();
+    let mut classes: Vec<(usize, usize)> = Vec::new();
+    for (si, s) in sites.iter().enumerate() {
+        let k = *class_of
+            .entry((s.target, s.kind, s.pkt_dest, s.src_orig))
+            .or_insert(classes.len());
+        if k == classes.len() {
+            classes.push((si, 0));
+        }
+        classes[k].1 += 1;
+    }
+    classes
 }
 
 /// BFS over the explored graph from `sources`, following edges in
@@ -407,12 +435,15 @@ fn path_to(parent: &[usize], edges: &[Edge], target: usize) -> Vec<usize> {
 
 /// Builds the minimal loop witness: over all violating edges, the one
 /// minimizing (entry prefix) + 1 + (cycle back to the edge source),
-/// ties broken by exploration order.
+/// ties broken by exploration order. Each BFS from a cycle-closing
+/// state costs one pass over the graph; once those passes have spent
+/// `budget` steps the search keeps the shortest witness found so far.
 fn loop_witness(
     states: &[State],
     edges: &[Edge],
     violating: &[usize],
     n_channels: usize,
+    budget: usize,
     sum: &ProgramSummary,
     chan_label: &dyn Fn(usize) -> String,
 ) -> Witness {
@@ -423,24 +454,55 @@ fn loop_witness(
     let initials: Vec<usize> = (0..n_channels.min(states.len())).collect();
     let (dist0, parent0) = bfs(states.len(), edges, &out_edges, &initials);
 
-    let mut best: Option<(usize, usize, Vec<usize>, Vec<usize>)> = None;
-    for &ei in violating {
-        let e = edges[ei];
-        if dist0[e.from] == usize::MAX {
-            continue; // unreachable from an entry state (cannot happen)
+    // One BFS per distinct target state, not per violating edge. Each
+    // target's lower bound counts one hop back unless its edge is a
+    // self-loop; visiting targets in lower-bound order lets the search
+    // stop at the first one that cannot beat the best (score, edge
+    // index), which keeps the first minimal edge in exploration order.
+    // Every state is reachable and the SCC guarantees a path back.
+    let mut by_target: Vec<(usize, usize)> =
+        violating.iter().map(|&ei| (edges[ei].to, ei)).collect();
+    by_target.sort_unstable();
+    let mut groups: Vec<_> = by_target
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|g| {
+            let lower = g
+                .iter()
+                .map(|&(to, ei)| {
+                    (
+                        dist0[edges[ei].from] + 1 + usize::from(edges[ei].from != to),
+                        ei,
+                    )
+                })
+                .min()
+                .expect("groups are non-empty");
+            (lower, g)
+        })
+        .collect();
+    groups.sort_unstable_by_key(|&(lower, _)| lower);
+    let mut best: Option<((usize, usize), Vec<usize>)> = None;
+    let mut spent = 0;
+    for (lower, group) in groups {
+        if best
+            .as_ref()
+            .is_some_and(|(b, _)| lower >= *b || spent >= budget)
+        {
+            break;
         }
-        let (db, pb) = bfs(states.len(), edges, &out_edges, &[e.to]);
-        if db[e.from] == usize::MAX {
-            continue; // same SCC guarantees a path back
-        }
-        let score = dist0[e.from] + 1 + db[e.from];
-        if best.as_ref().is_none_or(|(s, _, _, _)| score < *s) {
-            let prefix = path_to(&parent0, edges, e.from);
-            let back = path_to(&pb, edges, e.from);
-            best = Some((score, ei, prefix, back));
+        let (db, pb) = bfs(states.len(), edges, &out_edges, &[group[0].0]);
+        spent += states.len() + edges.len();
+        let candidate = group
+            .iter()
+            .map(|&(_, ei)| (dist0[edges[ei].from] + 1 + db[edges[ei].from], ei))
+            .min()
+            .expect("groups are non-empty");
+        if best.as_ref().is_none_or(|(b, _)| candidate < *b) {
+            best = Some((candidate, pb));
         }
     }
-    let (_, chosen, prefix, back) = best.expect("a violating edge is always reachable");
+    let ((_, chosen), pb) = best.expect("a violation has a violating edge");
+    let prefix = path_to(&parent0, edges, edges[chosen].from);
+    let back = path_to(&pb, edges, edges[chosen].from);
 
     let hop = |ei: usize| -> WitnessHop {
         let e = &edges[ei];
@@ -473,6 +535,64 @@ fn loop_witness(
         span: hops[cycle_start].span,
         hops,
     }
+}
+
+/// Kosaraju strongly-connected components; returns the component id of
+/// each node. A node is in the same component as another iff they lie on
+/// a common cycle (or are the same node), so an edge `u → v` lies on a
+/// cycle iff `comp[u] == comp[v]` — self-loops included. Shared with the
+/// plan-level [product check](crate::compose).
+pub(crate) fn scc(adj: &[Vec<usize>]) -> Vec<usize> {
+    let n = adj.len();
+    let mut order = Vec::with_capacity(n);
+    let mut seen = vec![false; n];
+    for s in 0..n {
+        if seen[s] {
+            continue;
+        }
+        // Iterative post-order DFS.
+        let mut stack = vec![(s, 0usize)];
+        seen[s] = true;
+        while let Some(&mut (u, ref mut i)) = stack.last_mut() {
+            if *i < adj[u].len() {
+                let v = adj[u][*i];
+                *i += 1;
+                if !seen[v] {
+                    seen[v] = true;
+                    stack.push((v, 0));
+                }
+            } else {
+                order.push(u);
+                stack.pop();
+            }
+        }
+    }
+    // Transpose.
+    let mut radj = vec![Vec::new(); n];
+    for (u, vs) in adj.iter().enumerate() {
+        for &v in vs {
+            radj[v].push(u);
+        }
+    }
+    let mut comp = vec![usize::MAX; n];
+    let mut c = 0;
+    for &s in order.iter().rev() {
+        if comp[s] != usize::MAX {
+            continue;
+        }
+        let mut stack = vec![s];
+        comp[s] = c;
+        while let Some(u) = stack.pop() {
+            for &v in &radj[u] {
+                if comp[v] == usize::MAX {
+                    comp[v] = c;
+                    stack.push(v);
+                }
+            }
+        }
+        c += 1;
+    }
+    comp
 }
 
 /// True if `e` contains any network output (send or `deliver`),
@@ -555,27 +675,102 @@ mod tests {
     }
 
     #[test]
-    fn destination_repinning_proved_where_scc_rejects() {
-        // The SCC screen sees a destination-changing send inside the
-        // relay→relay cycle and rejects; tracking the destination VALUE
-        // shows every hop re-asserts the same constant — progress.
-        let tp = compile_front(PINNED_RELAY).unwrap();
-        let sum = summarize(&tp);
-        assert!(!crate::termination::check_termination(&tp, &sum).is_proved());
-        let r = model_check(&tp, &sum, DEFAULT_STATE_BUDGET);
+    fn destination_repinning_proved() {
+        // Every relay→relay hop sets the destination to the same
+        // constant: tracking the destination VALUE shows it is progress
+        // toward one fixed address, not a restart.
+        let r = run(PINNED_RELAY);
         assert!(r.termination.is_proved(), "{r:?}");
         assert!(r.delivery.is_proved(), "{r:?}");
     }
 
+    /// Cases carried over from the channel-level screen the checker
+    /// replaced: (source, termination, delivery).
     #[test]
-    fn bounce_to_source_proved_where_scc_rejects() {
-        // dest := ipSrc(p) with the source untouched: the packet heads
-        // to one fixed address (the original sender) and is delivered.
-        let r = run(
-            "channel network(ps : unit, ss : unit, p : ip*udp*blob) is\n\
-             (OnRemote(network, (ipDestSet(#1 p, ipSrc(#1 p)), #2 p, #3 p)); (ps, ss))",
-        );
-        assert!(r.termination.is_proved(), "{r:?}");
+    fn screen_cases_on_one_tier() {
+        use Verdict::{Proved, Violated};
+        let cases = [
+            // One-shot redirect to a relay that forwards unchanged.
+            (
+                "channel relay(ps : unit, ss : unit, p : ip*tcp*blob) is\n\
+                 (OnRemote(relay, p); (ps, ss))\n\
+                 channel network(ps : unit, ss : unit, p : ip*tcp*blob) is\n\
+                 (OnRemote(relay, (ipDestSet(#1 p, 10.0.0.2), #2 p, #3 p)); (ps, ss))",
+                Proved,
+                Proved,
+            ),
+            // Self-redirect to a constant: every hop re-pins the same
+            // address. The screen rejected it; the packet terminates.
+            (
+                "channel network(ps : unit, ss : unit, p : ip*tcp*blob) is\n\
+                 (OnRemote(network, (ipDestSet(#1 p, 10.0.0.2), #2 p, #3 p)); (ps, ss))",
+                Proved,
+                Proved,
+            ),
+            // Redirect chain: a --change--> b --unchanged--> b.
+            (
+                "channel b(ps : unit, ss : unit, p : ip*udp*blob) is\n\
+                 (OnRemote(b, p); (ps, ss))\n\
+                 channel a(ps : unit, ss : unit, p : ip*udp*blob) is\n\
+                 (OnRemote(b, (ipDestSet(#1 p, 10.0.0.7), #2 p, #3 p)); (ps, ss))",
+                Proved,
+                Proved,
+            ),
+            // OnNeighbor to a channel that only delivers.
+            (
+                "channel mon(ps : unit, ss : unit, p : ip*udp*blob) is (deliver(p); (ps, ss))\n\
+                 channel network(ps : unit, ss : unit, p : ip*udp*blob) is\n\
+                 (OnNeighbor(mon, 10.0.0.3, p); (ps, ss))",
+                Proved,
+                Proved,
+            ),
+            // No sends: terminates, but drops every packet.
+            (
+                "channel network(ps : unit, ss : unit, p : ip*udp*blob) is (ps, ss)",
+                Proved,
+                Violated,
+            ),
+            // Forwards or delivers on every path.
+            (
+                "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+                 if ps > 0 then (OnRemote(network, p); (ps, ss))\n\
+                 else (deliver(p); (ps, ss))",
+                Proved,
+                Proved,
+            ),
+            // A handled exception does not escape.
+            (
+                "channel network(ps : int, ss : (host, int) hash_table, p : ip*udp*blob) is\n\
+                 (print(tblGet(ss, ipSrc(#1 p)) handle NotFound => 0);\n\
+                  OnRemote(network, p); (ps, ss))",
+                Proved,
+                Proved,
+            ),
+            // Bounce to the intact original source: one fixed address,
+            // so delivery holds too. The screen rejected both.
+            (
+                "channel network(ps : unit, ss : unit, p : ip*udp*blob) is\n\
+                 (OnRemote(network, (ipDestSet(#1 p, ipSrc(#1 p)), #2 p, #3 p)); (ps, ss))",
+                Proved,
+                Proved,
+            ),
+            // Delivering alone satisfies delivery.
+            (
+                "channel network(ps : unit, ss : unit, p : ip*udp*blob) is\n\
+                 (deliver(p); (ps, ss))",
+                Proved,
+                Proved,
+            ),
+        ];
+        for (src, termination, delivery) in cases {
+            let r = run(src);
+            assert_eq!(
+                (r.termination, r.delivery),
+                (termination, delivery),
+                "{src}"
+            );
+            assert_eq!(r.witnesses.is_empty(), delivery == Proved, "{src}");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use planp_lang::types::Type;
 use std::collections::{BTreeSet, HashMap};
 
 /// Abstraction of a packet's destination address at a send site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DestAbs {
     /// The destination is the arriving packet's destination, unchanged.
     /// Under the acyclic-routing assumption such a send makes progress:
@@ -58,7 +58,7 @@ impl DestAbs {
 
 /// Whether a send site forwards toward the packet destination or jumps to
 /// an explicit neighbor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SendKind {
     /// `OnRemote` — routed toward the packet's IP destination.
     Remote,

@@ -8,15 +8,31 @@
 //! the conservative analyses cannot prove.
 
 use crate::cost::{cost_bounds, CostReport};
-use crate::delivery::check_delivery;
 use crate::diag::Diagnostic;
 use crate::duplication::check_duplication;
 use crate::lint::lint;
 use crate::modelcheck::{model_check, ModelCheckReport, Verdict, DEFAULT_STATE_BUDGET};
 use crate::summary::{summarize, ProgramSummary};
-use crate::termination::{check_termination, Outcome};
+use crate::witness::Witness;
 use planp_lang::tast::TProgram;
 use std::fmt;
+
+/// Outcome of one analysis.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Outcome {
+    /// The property is proved.
+    Proved,
+    /// The property could not be proved; structured diagnostics explain
+    /// why.
+    Rejected(Vec<Diagnostic>),
+}
+
+impl Outcome {
+    /// True if the property was proved.
+    pub fn is_proved(&self) -> bool {
+        matches!(self, Outcome::Proved)
+    }
+}
 
 /// Size of the analysis problem — the paper's back-of-envelope
 /// `r·d·2^d` discussion made concrete (section 2.1).
@@ -59,14 +75,6 @@ pub struct Policy {
     /// cost exceeds this many VM steps on any channel (`None` disables
     /// the budget). See [`crate::cost`].
     pub max_steps_per_packet: Option<u64>,
-    /// Run the [explicit-state model checker](crate::modelcheck) as a
-    /// precision tier: the SCC screen stays the fast path, and the
-    /// exhaustive exploration re-judges its rejections (proving some of
-    /// them) and attaches counterexample witnesses to real violations.
-    pub exhaustive: bool,
-    /// State budget for the exhaustive exploration; exceeding it falls
-    /// back to the screening verdicts.
-    pub exhaustive_budget: usize,
     /// Reject programs with a table whose growth the [state
     /// analysis](crate::state) cannot bound: a packet-derived key with
     /// no eviction on any path (`E009`).
@@ -86,8 +94,6 @@ impl Policy {
             require_delivery: true,
             require_linear_duplication: true,
             max_steps_per_packet: None,
-            exhaustive: false,
-            exhaustive_budget: DEFAULT_STATE_BUDGET,
             require_bounded_state: false,
             max_state_entries: None,
         }
@@ -101,8 +107,6 @@ impl Policy {
             require_delivery: false,
             require_linear_duplication: true,
             max_steps_per_packet: None,
-            exhaustive: false,
-            exhaustive_budget: DEFAULT_STATE_BUDGET,
             require_bounded_state: false,
             max_state_entries: None,
         }
@@ -116,8 +120,6 @@ impl Policy {
             require_delivery: false,
             require_linear_duplication: false,
             max_steps_per_packet: None,
-            exhaustive: false,
-            exhaustive_budget: DEFAULT_STATE_BUDGET,
             require_bounded_state: false,
             max_state_entries: None,
         }
@@ -126,20 +128,6 @@ impl Policy {
     /// Adds a per-packet step budget to this policy (builder style).
     pub fn with_step_budget(mut self, steps: u64) -> Self {
         self.max_steps_per_packet = Some(steps);
-        self
-    }
-
-    /// Enables the exhaustive model-checking tier (builder style).
-    pub fn with_exhaustive_check(mut self) -> Self {
-        self.exhaustive = true;
-        self
-    }
-
-    /// Enables the exhaustive tier with an explicit state budget
-    /// (builder style).
-    pub fn with_exhaustive_budget(mut self, states: usize) -> Self {
-        self.exhaustive = true;
-        self.exhaustive_budget = states;
         self
     }
 
@@ -200,14 +188,11 @@ pub struct VerifyReport {
     pub policy: Policy,
     /// Problem-size statistics.
     pub stats: AnalysisStats,
-    /// The exhaustive model-checking report, when the policy enabled it
-    /// ([`Policy::with_exhaustive_check`]). Its verdicts have already
-    /// been folded into [`VerifyReport::termination`] and
-    /// [`VerifyReport::delivery`]: a proof overrides a screen
-    /// rejection, a violation replaces the screen findings with
-    /// counterexample witnesses (codes `E005`/`E006`), and an
-    /// inconclusive (budget-exhausted) run keeps the screen verdicts.
-    pub exhaustive: Option<ModelCheckReport>,
+    /// The [model check](crate::modelcheck) that decided
+    /// [`VerifyReport::termination`] and [`VerifyReport::delivery`]:
+    /// its witnesses are their diagnostics (codes `E005`/`E006`), and a
+    /// budget-exhausted run rejects as unprovable (`E001`/`E002`).
+    pub exhaustive: ModelCheckReport,
 }
 
 impl VerifyReport {
@@ -251,7 +236,7 @@ impl VerifyReport {
     /// `{"accepted":…,"verdicts":{"termination","delivery",
     /// "duplication","budget","state"},"state_bound":n|null,
     /// "channels":[{"name","overload","steps","sends"}…],
-    /// "diagnostics":[…],"exhaustive":null|{…}}`. `src` resolves
+    /// "diagnostics":[…],"exhaustive":{…}}`. `src` resolves
     /// diagnostic spans to line/column positions.
     pub fn write_json(&self, src: &str, out: &mut String) {
         use std::fmt::Write as _;
@@ -293,10 +278,7 @@ impl VerifyReport {
             d.write_json(src, out);
         }
         out.push_str("],\"exhaustive\":");
-        match &self.exhaustive {
-            Some(mc) => mc.write_json(src, out),
-            None => out.push_str("null"),
-        }
+        self.exhaustive.write_json(src, out);
         out.push('}');
     }
 }
@@ -313,21 +295,18 @@ impl fmt::Display for VerifyReport {
         writeln!(f, "termination:  {}", s(&self.termination))?;
         writeln!(f, "delivery:     {}", s(&self.delivery))?;
         writeln!(f, "duplication:  {}", s(&self.duplication))?;
-        if let Some(mc) = &self.exhaustive {
-            writeln!(
-                f,
-                "exhaustive:   termination {}, delivery {} ({} state(s), {} transition(s){})",
-                mc.termination.as_str(),
-                mc.delivery.as_str(),
-                mc.states,
-                mc.transitions,
-                if mc.exhausted {
-                    ", budget exhausted"
-                } else {
-                    ""
-                }
-            )?;
-        }
+        let mc = &self.exhaustive;
+        writeln!(
+            f,
+            "model check:  {} state(s), {} transition(s){}",
+            mc.states,
+            mc.transitions,
+            if mc.exhausted {
+                ", budget exhausted"
+            } else {
+                ""
+            }
+        )?;
         match self.policy.max_steps_per_packet {
             Some(limit) => writeln!(
                 f,
@@ -414,40 +393,14 @@ pub fn verify_with_summary(prog: &TProgram, sum: &ProgramSummary, policy: Policy
     let budget = check_budget(prog, &cost, policy.max_steps_per_packet);
     let state = check_state(prog, sum, policy);
     let state_bound = sum.state.entry_bound();
-    let mut termination = check_termination(prog, sum);
-    let mut delivery = check_delivery(prog, sum);
     let duplication = check_duplication(prog, sum);
-    // Precision tier: the SCC screen above stays the fast path; when the
-    // policy asks for it, the exhaustive exploration re-judges screen
-    // rejections (destination-value tracking proves some of them) and
-    // replaces confirmed violations with minimal counterexample
-    // witnesses. By construction the checker refines the screen — a
-    // screen accept is never overturned — so only the reject-side
-    // verdicts can change.
-    let exhaustive = if policy.exhaustive {
-        let mc = model_check(prog, sum, policy.exhaustive_budget);
-        let fold =
-            |verdict: Verdict, screen: &mut Outcome, witnesses: &[&crate::Witness]| match verdict {
-                Verdict::Proved => *screen = Outcome::Proved,
-                Verdict::Violated => {
-                    *screen =
-                        Outcome::Rejected(witnesses.iter().map(|w| w.to_diagnostic()).collect())
-                }
-                Verdict::Inconclusive => {}
-            };
-        let loops: Vec<&crate::Witness> = mc.loop_witnesses().collect();
-        let all: Vec<&crate::Witness> = mc.witnesses.iter().collect();
-        fold(mc.termination, &mut termination, &loops);
-        fold(mc.delivery, &mut delivery, &all);
-        Some(mc)
-    } else {
-        None
-    };
+    let exhaustive = model_check(prog, sum, DEFAULT_STATE_BUDGET);
+    let (termination, delivery) = model_check_outcomes(prog, &exhaustive);
     let mut diagnostics = lint(prog, sum, policy);
     let mut seen: Vec<(u32, u32, String)> = Vec::new();
-    // The analyses emit coded diagnostics directly (E001 termination,
-    // E002 delivery, E003 duplication, E004 budget); delivery embeds the
-    // termination findings, so dedup by position + message.
+    // The analyses emit coded diagnostics directly (E005/E001
+    // termination, E006/E002 delivery, E003 duplication, E004 budget);
+    // delivery embeds the loop witnesses, so dedup by position + message.
     let mut push_errs = |required: bool, outcome: &Outcome, out: &mut Vec<Diagnostic>| {
         if !required {
             return;
@@ -487,6 +440,46 @@ pub fn verify_with_summary(prog: &TProgram, sum: &ProgramSummary, policy: Policy
         stats,
         exhaustive,
     }
+}
+
+/// Maps the model check's verdicts to the termination and delivery
+/// outcomes. A violation rejects with the witnesses as diagnostics —
+/// delivery with all of them, since a loop breaks delivery too. An
+/// exhausted exploration budget proves nothing, so it rejects the
+/// property as unprovable: `E001` for termination, `E002` for delivery.
+fn model_check_outcomes(prog: &TProgram, mc: &ModelCheckReport) -> (Outcome, Outcome) {
+    let outcome =
+        |verdict: Verdict, code: &'static str, property: &str, witnesses: Vec<&Witness>| {
+            match verdict {
+                Verdict::Proved => Outcome::Proved,
+                Verdict::Violated => {
+                    Outcome::Rejected(witnesses.iter().map(|w| w.to_diagnostic()).collect())
+                }
+                Verdict::Inconclusive => Outcome::Rejected(vec![Diagnostic::error(
+                    code,
+                    prog.channels[0].span,
+                    format!(
+                        "{property} unprovable: the model check explored {} state(s), \
+                         {} transition(s) and stopped at its budget of {}",
+                        mc.states, mc.transitions, mc.budget
+                    ),
+                )]),
+            }
+        };
+    (
+        outcome(
+            mc.termination,
+            "E001",
+            "global termination",
+            mc.loop_witnesses().collect(),
+        ),
+        outcome(
+            mc.delivery,
+            "E002",
+            "guaranteed delivery",
+            mc.witnesses.iter().collect(),
+        ),
+    )
 }
 
 /// Evaluates state safety: `E009` for tables the analysis cannot bound,
@@ -618,9 +611,7 @@ mod tests {
 
     #[test]
     fn authenticated_accepts_anything() {
-        let bouncer = "channel network(ps : unit, ss : unit, p : ip*udp*blob) is\n\
-                       (OnRemote(network, (ipDestSet(#1 p, ipSrc(#1 p)), #2 p, #3 p)); (ps, ss))";
-        let r = report(bouncer, Policy::authenticated());
+        let r = report(PING_PONG, Policy::authenticated());
         assert!(r.accepted());
         // The analyses still ran and report the problem informationally.
         assert!(!r.termination.is_proved());
@@ -716,7 +707,7 @@ mod tests {
     fn rejections_become_error_diagnostics() {
         let r = report(DROPPER, Policy::strict());
         assert!(!r.accepted());
-        assert!(r.diagnostics.iter().any(|d| d.code == "E002"));
+        assert!(r.diagnostics.iter().any(|d| d.code == "E006"));
         // The same rejection is not duplicated across codes.
         let msgs: Vec<_> = r
             .diagnostics
@@ -739,20 +730,17 @@ mod tests {
          (OnRemote(a, (ipDestSet(#1 p, 10.0.0.1), #2 p, #3 p)); (ps, ss))";
 
     #[test]
-    fn exhaustive_tier_overturns_screen_rejection() {
-        let screened = report(PINNED_RELAY, Policy::strict());
-        assert!(!screened.accepted(), "screen alone rejects the re-pin");
-        let r = report(PINNED_RELAY, Policy::strict().with_exhaustive_check());
+    fn destination_repinning_relay_accepted_under_strict() {
+        let r = report(PINNED_RELAY, Policy::strict());
         assert!(r.accepted(), "{r}");
         assert!(r.errors().is_empty());
-        let mc = r.exhaustive.as_ref().unwrap();
-        assert!(mc.termination.is_proved());
-        assert!(r.to_string().contains("exhaustive:   termination proved"));
+        assert!(r.exhaustive.termination.is_proved());
+        assert!(r.to_string().contains("model check:  3 state(s)"), "{r}");
     }
 
     #[test]
-    fn exhaustive_tier_attaches_witness_diagnostics() {
-        let r = report(PING_PONG, Policy::strict().with_exhaustive_check());
+    fn violations_reject_with_witness_diagnostics() {
+        let r = report(PING_PONG, Policy::strict());
         assert!(!r.accepted());
         let errs = r.errors();
         assert!(errs.iter().any(|e| e.code == "E005"), "{errs:?}");
@@ -760,14 +748,29 @@ mod tests {
             .iter()
             .any(|e| e.notes.iter().any(|n| n.starts_with("hop 1:"))));
         assert!(r.diagnostics.iter().any(|d| d.code == "E005"));
+        // Delivery embeds the loop witness; it is reported once.
+        assert_eq!(errs.iter().filter(|e| e.code == "E005").count(), 1);
     }
 
     #[test]
-    fn exhausted_budget_keeps_screen_verdicts() {
-        let r = report(PINNED_RELAY, Policy::strict().with_exhaustive_budget(1));
-        assert!(!r.accepted(), "fallback to the screen rejection");
-        assert!(r.exhaustive.as_ref().unwrap().exhausted);
-        assert!(r.errors().iter().any(|e| e.code == "E001"));
+    fn exhausted_budget_rejects_as_unprovable() {
+        let tp = compile_front(PINNED_RELAY).unwrap();
+        let mc = model_check(&tp, &summarize(&tp), 1);
+        let (termination, delivery) = model_check_outcomes(&tp, &mc);
+        let Outcome::Rejected(t) = termination else {
+            panic!("an exhausted budget proves nothing")
+        };
+        let Outcome::Rejected(d) = delivery else {
+            panic!("an exhausted budget proves nothing")
+        };
+        assert_eq!((t.len(), t[0].code), (1, "E001"));
+        assert_eq!((d.len(), d[0].code), (1, "E002"));
+        assert!(
+            t[0].message
+                .contains("explored 1 state(s), 0 transition(s) and stopped at its budget of 1"),
+            "{}",
+            t[0].message
+        );
     }
 
     #[test]
@@ -780,10 +783,6 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("\"state_bound\":0"), "{out}");
-        assert!(out.ends_with("\"exhaustive\":null}"), "{out}");
-        let r = report(GOOD, Policy::strict().with_exhaustive_check());
-        let mut out = String::new();
-        r.write_json(GOOD, &mut out);
         assert!(
             out.contains("\"exhaustive\":{\"termination\":\"proved\""),
             "{out}"

@@ -16,8 +16,8 @@ pub const NACK_PORT: u16 = 5556;
 
 /// The reliable relay: relays buffer by sequence number and answer
 /// NACKs with retransmissions; the receiver dedupes, NACKs gaps, and
-/// keeps a timer armed until every gap closes. The retransmission
-/// cycle defeats the conservative termination screen, so this program
+/// keeps a timer armed until every gap closes. The model checker cannot
+/// prove the retransmission cycle terminates (`E005`), so this program
 /// loads under the `authenticated` policy (paper section 2.1).
 pub const RELIABLE_RELAY_ASP: &str = r#"
 -- Reliable relay: NACK-driven retransmission over lossy links.
@@ -40,8 +40,8 @@ pub const RELIABLE_RELAY_ASP: &str = r#"
 -- payload is the requested sequence in the same encoding.
 --
 -- The retransmission cycle (relay resends into the same channel) is
--- exactly the class of useful protocol the conservative termination
--- screen must reject, so this program loads under the `authenticated`
+-- exactly the class of useful protocols the model checker rejects as
+-- unprovable (E005), so this program loads under the `authenticated`
 -- download policy — the paper's escape hatch for trusted sources
 -- (section 2.1).
 

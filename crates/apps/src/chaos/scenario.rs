@@ -17,9 +17,10 @@
 //! re-downloads, and the whole composition re-proves, when it restarts.
 //! The program is either the NACK-driven
 //! [`reliable relay`](super::asp::RELIABLE_RELAY_ASP) (loaded under the
-//! `authenticated` policy, since its retransmission cycle defeats the
-//! termination screen) or its statically spotless, retransmission-free
-//! twin [`fragile relay`](super::asp::FRAGILE_RELAY_ASP) — the negative
+//! `authenticated` policy, since the model checker cannot prove its
+//! retransmission cycle terminates) or its statically spotless,
+//! retransmission-free twin
+//! [`fragile relay`](super::asp::FRAGILE_RELAY_ASP) — the negative
 //! control showing that verifier guarantees say nothing about
 //! robustness.
 
@@ -60,8 +61,8 @@ impl RelayKind {
 
     /// The download policy each node verifies the program under.
     /// The reliable relay needs the paper's authenticated-source escape
-    /// hatch (its retransmission cycle is rejected by the conservative
-    /// termination screen); the fragile one passes the default policy.
+    /// hatch (the model checker cannot prove its retransmission cycle
+    /// terminates); the fragile one passes the default policy.
     pub fn policy(self) -> Policy {
         match self {
             RelayKind::Reliable => Policy::authenticated(),

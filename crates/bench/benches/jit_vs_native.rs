@@ -71,6 +71,18 @@ fn native_audio(pkt: &Value, env: &mut MockEnv) -> Value {
     }
 }
 
+/// Clears every trail the mock environment records, so each iteration
+/// times one dispatch and not the growth of the previous ones'.
+fn reset(env: &mut MockEnv) {
+    env.effects.clear();
+    env.output.clear();
+    env.steps = 0;
+    env.site_steps.clear();
+    env.send_sites.clear();
+    env.timers.clear();
+    env.table_writes.clear();
+}
+
 fn bench_engines(c: &mut Criterion) {
     // --- audio router -------------------------------------------------
     let lp = load(AUDIO_ROUTER_ASP, Policy::strict()).expect("audio ASP");
@@ -83,7 +95,7 @@ fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("audio_router");
     group.bench_function("jit", |b| {
         b.iter(|| {
-            env.effects.clear();
+            reset(&mut env);
             let r = lp
                 .compiled
                 .run_channel(
@@ -101,7 +113,7 @@ fn bench_engines(c: &mut Criterion) {
     let interp = Interp::new(&lp.prog);
     group.bench_function("interp", |b| {
         b.iter(|| {
-            env.effects.clear();
+            reset(&mut env);
             let r = interp
                 .run_channel(
                     0,
@@ -140,7 +152,7 @@ fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("http_gateway");
     group.bench_function("jit", |b| {
         b.iter(|| {
-            env.effects.clear();
+            reset(&mut env);
             let r = lp
                 .compiled
                 .run_channel(
@@ -158,7 +170,7 @@ fn bench_engines(c: &mut Criterion) {
     let interp = Interp::new(&lp.prog);
     group.bench_function("interp", |b| {
         b.iter(|| {
-            env.effects.clear();
+            reset(&mut env);
             let r = interp
                 .run_channel(
                     net_idx,

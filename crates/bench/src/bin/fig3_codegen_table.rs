@@ -58,7 +58,7 @@ fn main() {
         if opts.report {
             analyses.push(render_analysis_report(
                 name,
-                &planp_analysis::verify(&prog, policy.with_exhaustive_check()),
+                &planp_analysis::verify(&prog, policy),
             ));
         }
         let (_, paper_lines, paper_ms) = PAPER_FIG3[i];
@@ -112,8 +112,7 @@ fn main() {
         println!("--- exhaustive model check: bundled ASPs ---");
         for (name, src, policy) in planp_bench::bundled_asps() {
             let prog = compile_front(src).expect("bundled ASP compiles");
-            let report = planp_analysis::verify(&prog, policy.with_exhaustive_check());
-            let mc = report.exhaustive.as_ref().expect("exhaustive tier ran");
+            let mc = planp_analysis::verify(&prog, policy).exhaustive;
             println!(
                 "{name}: termination {}, delivery {} ({} state(s), {} transition(s))",
                 mc.termination.as_str(),

@@ -13,8 +13,6 @@
 //!   bundled ASPs satisfy).
 //! * `--max-steps N` — add a per-packet step budget to the policy;
 //!   programs whose static worst-case bound exceeds it are rejected.
-//! * `--exhaustive` — run the model-checking precision tier on top of
-//!   the screening analyses ([`Policy::with_exhaustive_check`]).
 //! * `--json` — machine form: one byte-stable JSON document on stdout.
 //! * `--deny-warnings` — exit nonzero when any warning is reported
 //!   (the CI gate).
@@ -41,7 +39,6 @@ fn parse_args() -> Result<Args, String> {
         files: Vec::new(),
     };
     let mut max_steps: Option<u64> = None;
-    let mut exhaustive = false;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     let value = |argv: &[String], i: usize, flag: &str| -> Result<String, String> {
@@ -68,7 +65,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--json" => args.json = true,
             "--deny-warnings" => args.deny_warnings = true,
-            "--exhaustive" => exhaustive = true,
             "--help" | "-h" => {
                 print!("{HELP}");
                 std::process::exit(0);
@@ -83,9 +79,6 @@ fn parse_args() -> Result<Args, String> {
     if let Some(n) = max_steps {
         args.policy = args.policy.with_step_budget(n);
     }
-    if exhaustive {
-        args.policy = args.policy.with_exhaustive_check();
-    }
     if args.files.is_empty() {
         return Err("no input files (try --help)".to_string());
     }
@@ -97,7 +90,6 @@ planp-lint: verify PLAN-P files and report diagnostics and cost bounds
 usage: planp_lint [options] <file.planp>...
   --policy strict|no-delivery|authenticated  download policy (default no-delivery)
   --max-steps N                              reject bounds over N steps/packet
-  --exhaustive                               run the model-checking precision tier
   --json                                     byte-stable machine output
   --deny-warnings                            exit 1 when any warning fires
 ";

@@ -10,7 +10,6 @@
 //!
 //! With no files, the twelve bundled ASPs are checked. Options:
 //!
-//! * `--budget N` — state budget for the exploration (default 65536).
 //! * `--json` — one byte-stable JSON document on stdout.
 //! * `--replay` — replay each file with a violated property through
 //!   the two-router simulator and report whether the concrete traffic
@@ -38,7 +37,6 @@ use planp_analysis::summary::summarize;
 use planp_runtime::replay_asp_traced;
 
 struct Args {
-    budget: usize,
     json: bool,
     replay: bool,
     baseline: Option<String>,
@@ -48,7 +46,6 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        budget: DEFAULT_STATE_BUDGET,
         json: false,
         replay: false,
         baseline: None,
@@ -64,11 +61,6 @@ fn parse_args() -> Result<Args, String> {
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
-            "--budget" => {
-                let v = value(&argv, i, "--budget")?;
-                args.budget = v.parse().map_err(|_| format!("bad budget {v:?}"))?;
-                i += 1;
-            }
             "--json" => args.json = true,
             "--replay" => args.replay = true,
             "--baseline" => {
@@ -97,7 +89,6 @@ const HELP: &str = "\
 planp-modelcheck: exhaustively model-check PLAN-P files, render witnesses
 usage: planp_modelcheck [options] [<file.planp>...]
   (no files: check the twelve bundled ASPs)
-  --budget N             state budget (default 65536)
   --json                 byte-stable machine output
   --replay               replay violations through the simulator
   --baseline FILE        fail if verdicts differ from FILE; lines marked
@@ -134,11 +125,11 @@ impl FileResult {
     }
 }
 
-fn check_source(name: &str, src: &str, budget: usize, replay: bool) -> FileResult {
+fn check_source(name: &str, src: &str, replay: bool) -> FileResult {
     let report = match planp_lang::compile_front(src) {
         Ok(prog) => {
             let sum = summarize(&prog);
-            Ok(model_check(&prog, &sum, budget))
+            Ok(model_check(&prog, &sum, DEFAULT_STATE_BUDGET))
         }
         Err(e) => Err(e),
     };
@@ -317,7 +308,7 @@ fn main() {
     let mut results = Vec::new();
     if args.files.is_empty() {
         for (name, src, _policy) in planp_bench::bundled_asps() {
-            results.push(check_source(name, src, args.budget, args.replay));
+            results.push(check_source(name, src, args.replay));
         }
     } else {
         for path in &args.files {
@@ -328,7 +319,7 @@ fn main() {
                     std::process::exit(2);
                 }
             };
-            results.push(check_source(path, &src, args.budget, args.replay));
+            results.push(check_source(path, &src, args.replay));
         }
     }
 
@@ -434,7 +425,7 @@ mod tests {
     fn baseline_text_is_sorted_by_name_regardless_of_input_order() {
         let results: Vec<FileResult> = ["z.planp", "asps/a.planp", "asps/buggy/k.planp"]
             .iter()
-            .map(|n| check_source(n, FWD, 1024, false))
+            .map(|n| check_source(n, FWD, false))
             .collect();
         let text = baseline_text(&results, &HashSet::new());
         let names: Vec<&str> = text

@@ -170,8 +170,7 @@ impl BenchOpts {
     /// the bin's `flags`). `PLANP_BENCH_JSON=1` still enables `json`.
     pub fn from_cli(args: &cli::CliArgs) -> Self {
         BenchOpts {
-            json: args.json
-                || std::env::var("PLANP_BENCH_JSON").as_deref() == Ok("1"),
+            json: args.json || std::env::var("PLANP_BENCH_JSON").as_deref() == Ok("1"),
             report: args.flag("--report"),
         }
     }
@@ -213,15 +212,14 @@ pub fn emit_bench(
 pub fn render_analysis_report(name: &str, report: &planp_analysis::VerifyReport) -> String {
     let mut out = format!("--- analysis: {name} ---\n");
     out.push_str(&format!("problem size: {}\n", report.stats));
-    if let Some(mc) = &report.exhaustive {
-        out.push_str(&format!(
-            "exhaustive:   termination {}, delivery {} ({} state(s), {} transition(s))\n",
-            mc.termination.as_str(),
-            mc.delivery.as_str(),
-            mc.states,
-            mc.transitions
-        ));
-    }
+    let mc = &report.exhaustive;
+    out.push_str(&format!(
+        "model check:  termination {}, delivery {} ({} state(s), {} transition(s))\n",
+        mc.termination.as_str(),
+        mc.delivery.as_str(),
+        mc.states,
+        mc.transitions
+    ));
     for c in &report.cost.channels {
         out.push_str(&format!("channel {}#{}: {}\n", c.name, c.overload, c.bound));
     }

@@ -247,7 +247,13 @@ impl Sim {
     /// bumps the `sim.node_drops_total` aggregate, and records the
     /// flight/trace events. Every node-level drop site goes through
     /// here so the drop-accounting identity holds by construction.
-    pub(crate) fn drop_at_node(&mut self, node: NodeId, pkt: u64, sampled: bool, reason: DropReason) {
+    pub(crate) fn drop_at_node(
+        &mut self,
+        node: NodeId,
+        pkt: u64,
+        sampled: bool,
+        reason: DropReason,
+    ) {
         let n = &mut self.nodes[node.0];
         match reason {
             DropReason::CpuOverflow => n.cpu_drops += 1,
@@ -658,7 +664,12 @@ impl Sim {
             && pkt.lineage.deadline_ns != 0
             && self.now.as_nanos() > pkt.lineage.deadline_ns
         {
-            self.drop_at_node(node, pkt.id, pkt.lineage.sampled, DropReason::DeadlineExpired);
+            self.drop_at_node(
+                node,
+                pkt.id,
+                pkt.lineage.sampled,
+                DropReason::DeadlineExpired,
+            );
             return;
         }
         // CPU model: non-overheard packets queue for processing time.
@@ -1650,9 +1661,7 @@ impl NodeApi<'_> {
 
     /// Capacity of this node's CPU queue (0 without a CPU model).
     pub fn cpu_queue_cap(&self) -> usize {
-        self.sim.nodes[self.node.0]
-            .cpu
-            .map_or(0, |c| c.queue_cap)
+        self.sim.nodes[self.node.0].cpu.map_or(0, |c| c.queue_cap)
     }
 
     /// Counts and traces a node-level drop decided by a hook or

@@ -8,7 +8,9 @@ use bytes::Bytes;
 use netsim::packet::{addr, Packet};
 use netsim::rng::SplitMix64;
 use netsim::tcp::{TcpConfig, TcpSocket};
-use netsim::{App, ArrivalMeta, CpuModel, HookVerdict, LinkSpec, NodeApi, PacketHook, Sim, SimTime};
+use netsim::{
+    App, ArrivalMeta, CpuModel, HookVerdict, LinkSpec, NodeApi, PacketHook, Sim, SimTime,
+};
 use planp_telemetry::DropReason;
 use std::cell::RefCell;
 use std::collections::BTreeSet;

@@ -22,7 +22,8 @@ struct Operator {
 const COUNTER: &str = "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
                        (println(ps); OnRemote(network, p); (ps + 1, ss))";
 const BOUNCER: &str = "channel network(ps : unit, ss : unit, p : ip*udp*blob) is\n\
-                       (OnRemote(network, (ipDestSet(#1 p, ipSrc(#1 p)), #2 p, #3 p)); (ps, ss))";
+                       (OnRemote(network, (ipDestSet(ipSrcSet(#1 p, ipDst(#1 p)), ipSrc(#1 p)),\n\
+                                           #2 p, #3 p)); (ps, ss))";
 
 impl App for Operator {
     fn on_start(&mut self, api: &mut NodeApi<'_>) {

@@ -26,9 +26,10 @@ fn main() {
     );
 
     check(
-        "bounce-to-source (packet cycle)",
+        "source/destination swap (packet cycle)",
         "channel network(ps : unit, ss : unit, p : ip*udp*blob) is
-           (OnRemote(network, (ipDestSet(#1 p, ipSrc(#1 p)), #2 p, #3 p)); (ps, ss))",
+           (OnRemote(network, (ipDestSet(ipSrcSet(#1 p, ipDst(#1 p)), ipSrc(#1 p)), #2 p, #3 p));
+            (ps, ss))",
     );
 
     check(
@@ -52,7 +53,8 @@ fn main() {
 
     println!("── the same bouncer under an authenticated download ──");
     let bouncer = "channel network(ps : unit, ss : unit, p : ip*udp*blob) is
-                     (OnRemote(network, (ipDestSet(#1 p, ipSrc(#1 p)), #2 p, #3 p)); (ps, ss))";
+                     (OnRemote(network, (ipDestSet(ipSrcSet(#1 p, ipDst(#1 p)), ipSrc(#1 p)),
+                                         #2 p, #3 p)); (ps, ss))";
     let lp = load(bouncer, Policy::authenticated()).expect("authenticated download");
     println!(
         "ACCEPTED under authentication (termination proved: {})",

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! planpc check <file.planp> [--policy strict|no-delivery|authenticated]
-//!                           [--max-steps N] [--state] [--exhaustive]
-//!                           [--lint] [--json] [--witness-json]
+//!                           [--max-steps N] [--state] [--lint] [--json]
+//!                           [--witness-json]
 //! planpc fmt   <file.planp>        # pretty-print to stdout
 //! planpc info  <file.planp>        # channels, state types, line counts
 //! planpc bench <file.planp>        # code generation + verification time
@@ -15,9 +15,8 @@
 //! machine form; `check --max-steps N` adds a per-packet step budget to
 //! the policy; `check --state` additionally requires every table's
 //! growth to be statically bounded (rejecting unbounded state with
-//! `E009`); `check --exhaustive` runs the model-checking precision
-//! tier, and `check --witness-json` prints its counterexample witnesses
-//! as one byte-stable JSON array (implies `--exhaustive`). Exit status:
+//! `E009`); `check --witness-json` prints the model checker's
+//! counterexample witnesses as one byte-stable JSON array. Exit status:
 //! 0 on success/accepted, 1 on rejection or error — so `planpc check`
 //! works as a CI gate.
 
@@ -32,7 +31,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: planpc <check|fmt|info|bench|run> <file.planp> \
          [--policy strict|no-delivery|authenticated] [--max-steps N] \
-         [--state] [--exhaustive] [--lint] [--json] [--witness-json]"
+         [--state] [--lint] [--json] [--witness-json]"
     );
     ExitCode::FAILURE
 }
@@ -56,12 +55,6 @@ fn parse_policy(args: &[String]) -> Result<Policy, String> {
     }
     if args.iter().any(|a| a == "--state") {
         policy = policy.with_bounded_state();
-    }
-    if args
-        .iter()
-        .any(|a| a == "--exhaustive" || a == "--witness-json")
-    {
-        policy = policy.with_exhaustive_check();
     }
     Ok(policy)
 }
@@ -100,12 +93,7 @@ fn main() -> ExitCode {
             let report = verify(&prog, policy);
             if args.iter().any(|a| a == "--witness-json") {
                 let mut out = String::from("[");
-                let witnesses = report
-                    .exhaustive
-                    .as_ref()
-                    .map(|mc| mc.witnesses.as_slice())
-                    .unwrap_or(&[]);
-                for (i, w) in witnesses.iter().enumerate() {
+                for (i, w) in report.exhaustive.witnesses.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }

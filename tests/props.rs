@@ -275,19 +275,21 @@ fn interp_equals_jit_stateful() {
 
 /// The verifier never panics on generated programs *with sends*, and its
 /// easy implications hold: a program whose only sends keep the
-/// destination unchanged always proves termination; a program with a
-/// self-directed destination-changing send never does.
+/// destination unchanged, or pin it to one fixed address (a constant or
+/// the intact original source), always proves termination; a program
+/// that swaps source and destination on every hop never does.
 #[test]
 fn verifier_fuzz_with_sends() {
     for case in 0..96u64 {
         let mut rng = SplitMix64::new(0x5EED_5000 + case);
         let e = gen_int_expr(&mut rng, 4);
-        let pattern = rng.next_below(4) as u8;
+        let pattern = rng.next_below(5) as u8;
         let send = match pattern {
             0 => "OnRemote(network, p)",
             1 => "OnRemote(network, (ipSrcSet(#1 p, 10.0.0.9), #2 p, #3 p))",
             2 => "OnRemote(network, (ipDestSet(#1 p, 10.0.0.9), #2 p, #3 p))",
-            _ => "OnRemote(network, (ipDestSet(#1 p, ipSrc(#1 p)), #2 p, #3 p))",
+            3 => "OnRemote(network, (ipDestSet(#1 p, ipSrc(#1 p)), #2 p, #3 p))",
+            _ => "OnRemote(network, (ipDestSet(ipSrcSet(#1 p, ipDst(#1 p)), ipSrc(#1 p)), #2 p, #3 p))",
         };
         let src = format!(
             "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
@@ -295,10 +297,10 @@ fn verifier_fuzz_with_sends() {
         );
         let prog = planp::lang::compile_front(&src).expect("front end");
         let report = verify(&prog, Policy::strict());
-        let dest_preserving = pattern <= 1;
+        let fixed_destination = pattern <= 3;
         assert_eq!(
             report.termination.is_proved(),
-            dest_preserving,
+            fixed_destination,
             "pattern {pattern} gave {:?}",
             report.termination
         );
